@@ -29,6 +29,7 @@ from .core import (
 from .decomposition import least_complete_semilattice_congruence
 from .enumeration import (
     DEDUP_MODES,
+    MAX_ENUM_ORDER,
     EnumerationCursor,
     OrderTooLargeError,
     enumerate_ordered_semigroups,
@@ -199,7 +200,7 @@ def _cmd_enumerate(args, out) -> int:
         try:
             with open(args.checkpoint, "r", encoding="utf-8") as fh:
                 cursor = EnumerationCursor.from_json(fh.read())
-        except (OSError, ValueError, KeyError) as e:
+        except (OSError, ValueError) as e:
             print(f"invalid checkpoint: {e}", file=sys.stderr)
             return 2
         if cursor.order != args.order or cursor.dedup != args.dedup:
@@ -268,6 +269,15 @@ def _run_catalog(n, dedup, ids, first_row=None, limit=None):
     return count, acc
 
 
+def _merge(acc, part):
+    """Add the per-theorem tallies of part into acc."""
+    for tid, a in acc.items():
+        for key in ("checked", "skipped"):
+            a[key] += part[tid][key]
+        for key in ("cex", "mismatch"):
+            a[key].extend(part[tid][key])
+
+
 def _verify_worker(task):
     n, dedup, ids, rows = task
     total = 0
@@ -275,11 +285,7 @@ def _verify_worker(task):
     for row in rows:
         count, acc = _run_catalog(n, dedup, ids, first_row=row)
         total += count
-        for tid in ids:
-            for key in ("checked", "skipped"):
-                merged[tid][key] += acc[tid][key]
-            for key in ("cex", "mismatch"):
-                merged[tid][key].extend(acc[tid][key])
+        _merge(merged, acc)
     return total, merged
 
 
@@ -295,17 +301,14 @@ def _cmd_verify(args, out) -> int:
     jobs = max(1, args.jobs)
     if args.limit is not None:
         jobs = 1
+    if args.order > MAX_ENUM_ORDER:
+        e = OrderTooLargeError("enumeration", MAX_ENUM_ORDER, args.order)
+        print(f"invalid: {e}", file=sys.stderr)
+        return 2
 
     if jobs == 1:
-        try:
-            total, acc = _run_catalog(args.order, args.dedup, ids, limit=args.limit)
-        except OrderTooLargeError as e:
-            print(f"invalid: {e}", file=sys.stderr)
-            return 2
+        total, acc = _run_catalog(args.order, args.dedup, ids, limit=args.limit)
     else:
-        if args.order > 5:
-            print("invalid: enumeration is capped at order 5", file=sys.stderr)
-            return 2
         rows = list(product(range(args.order), repeat=args.order))
         chunks = [rows[i::jobs] for i in range(jobs) if rows[i::jobs]]
         ctx = multiprocessing.get_context("spawn")
@@ -317,11 +320,7 @@ def _cmd_verify(args, out) -> int:
         acc = _fresh_acc(ids)
         for count, part in results:
             total += count
-            for tid in ids:
-                for key in ("checked", "skipped"):
-                    acc[tid][key] += part[tid][key]
-                for key in ("cex", "mismatch"):
-                    acc[tid][key].extend(part[tid][key])
+            _merge(acc, part)
 
     print(f"verify order={args.order} dedup={args.dedup}", file=out)
     if args.limit is not None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import wraps
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Mask = int
@@ -87,6 +88,14 @@ class NotCompatible:
 Violation = Union[NotAssociative, NotPartialOrder, NotCompatible]
 
 
+class OrderTooLargeError(ValueError):
+    """An exhaustive scan was asked for above the order it is capped at."""
+
+    def __init__(self, scan: str, cap: int, n: int):
+        self.cap = cap
+        super().__init__(f"{scan} is capped at order {cap}, got {n}")
+
+
 class InvalidStructureError(ValueError):
     """Raised by validate(); carries every violated axiom with a witness."""
 
@@ -105,7 +114,8 @@ class OrderedSemigroup:
     table[i][j] is the product i*j.  down[j] is the bitmask of the
     elements i with i <= j, so ``downset({a})`` is just ``down[a]``.
     Instances are hashable and safe to share between workers; the private
-    cache only memoizes derived data and is dropped on pickling.
+    cache holds what :func:`derived` functions computed and is dropped on
+    pickling.
 
     Build instances through :func:`validate` (or the JSON loaders) unless
     the data is known valid by construction, as in the enumerator.
@@ -124,10 +134,6 @@ class OrderedSemigroup:
 
     def leq(self, i: int, j: int) -> bool:
         return self.down[j] >> i & 1 == 1
-
-    def leq_matrix(self) -> tuple[tuple[bool, ...], ...]:
-        n = self.n
-        return tuple(tuple(self.down[j] >> i & 1 == 1 for j in range(n)) for i in range(n))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -150,13 +156,24 @@ class OrderedSemigroup:
         self._cache = {}
 
 
-def _memo(S: OrderedSemigroup, key: str, compute: Callable):
-    cache = S._cache
-    try:
-        return cache[key]
-    except KeyError:
-        value = cache[key] = compute()
-        return value
+def derived(f: Callable) -> Callable:
+    """Memoize ``f(S, *args)`` in ``S._cache``; the only user of that cache.
+
+    The key is ``f`` itself when f is called with S alone, and
+    ``(f, *args)`` otherwise.  Arguments are passed positionally.
+    """
+
+    @wraps(f)
+    def get(S: OrderedSemigroup, *args):
+        cache = S._cache
+        key = (f, *args) if args else f
+        try:
+            return cache[key]
+        except KeyError:
+            value = cache[key] = f(S, *args)
+            return value
+
+    return get
 
 
 # ---------------------------------------------------------------------------
@@ -281,74 +298,64 @@ def power_profile(S: OrderedSemigroup, a: int) -> PowerProfile:
     return PowerProfile(index=first, period=pos - first, powers=mask_of(seen))
 
 
+@derived
 def _powers(S: OrderedSemigroup) -> tuple[tuple[int, ...], ...]:
     """powers[a][m-1] = a^m for m in 1..n.  Every distinct power occurs here."""
-
-    def compute():
-        n, table = S.n, S.table
-        rows = []
-        for a in range(n):
-            vals = [a]
-            x = a
-            for _ in range(n - 1):
-                x = table[x][a]
-                vals.append(x)
-            rows.append(tuple(vals))
-        return tuple(rows)
-
-    return _memo(S, "powers", compute)
+    n, table = S.n, S.table
+    rows = []
+    for a in range(n):
+        vals = [a]
+        x = a
+        for _ in range(n - 1):
+            x = table[x][a]
+            vals.append(x)
+        rows.append(tuple(vals))
+    return tuple(rows)
 
 
+@derived
 def _power_masks(S: OrderedSemigroup) -> tuple[Mask, ...]:
     """power_masks[a] = bitmask of all distinct powers of a."""
-    return _memo(S, "power_masks", lambda: tuple(mask_of(row) for row in _powers(S)))
+    return tuple(mask_of(row) for row in _powers(S))
 
 
 # per-element product sets; these realize the Sa, aS, SaS, aSa that the
 # ideal formulas are built from
 
+@derived
 def _aS(S: OrderedSemigroup) -> tuple[Mask, ...]:
-    def compute():
-        full = full_mask(S.n)
-        return tuple(subset_product(S, 1 << a, full) for a in range(S.n))
-
-    return _memo(S, "aS", compute)
+    full = full_mask(S.n)
+    return tuple(subset_product(S, 1 << a, full) for a in range(S.n))
 
 
+@derived
 def _Sa(S: OrderedSemigroup) -> tuple[Mask, ...]:
-    def compute():
-        full = full_mask(S.n)
-        return tuple(subset_product(S, full, 1 << a) for a in range(S.n))
-
-    return _memo(S, "Sa", compute)
+    full = full_mask(S.n)
+    return tuple(subset_product(S, full, 1 << a) for a in range(S.n))
 
 
+@derived
 def _aSa(S: OrderedSemigroup) -> tuple[Mask, ...]:
-    def compute():
-        table = S.table
-        rows = []
-        for a in range(S.n):
-            m = 0
-            for u in iter_mask(_aS(S)[a]):
-                m |= 1 << table[u][a]
-            rows.append(m)
-        return tuple(rows)
-
-    return _memo(S, "aSa", compute)
+    table = S.table
+    rows = []
+    for a in range(S.n):
+        m = 0
+        for u in iter_mask(_aS(S)[a]):
+            m |= 1 << table[u][a]
+        rows.append(m)
+    return tuple(rows)
 
 
+@derived
 def _SaS(S: OrderedSemigroup) -> tuple[Mask, ...]:
-    def compute():
-        asv = _aS(S)
-        rows = []
-        for a in range(S.n):
-            m = 0
-            for u in iter_mask(_Sa(S)[a]):
-                m |= asv[u]
-            rows.append(m)
-        return tuple(rows)
-
-    return _memo(S, "SaS", compute)
+    asv = _aS(S)
+    rows = []
+    for a in range(S.n):
+        m = 0
+        for u in iter_mask(_Sa(S)[a]):
+            m |= asv[u]
+        rows.append(m)
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +380,7 @@ def adjoin_identity(S: OrderedSemigroup) -> MonoidExtension:
     return MonoidExtension(base=S, structure=ext, identity=n)
 
 
-def _monoid_extension(S: OrderedSemigroup) -> MonoidExtension:
-    return _memo(S, "monoid_extension", lambda: adjoin_identity(S))
+_monoid_extension = derived(adjoin_identity)
 
 
 # ---------------------------------------------------------------------------

@@ -14,23 +14,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .core import Mask, OrderedSemigroup, _memo, downset, mask_of, members
+from .core import (
+    Mask,
+    OrderedSemigroup,
+    OrderTooLargeError,
+    derived,
+    downset,
+    mask_of,
+    members,
+)
 from .ideals import all_ideals, is_ideal, kernel, restrict
 
 #: partition scans are capped here; Bell(6) = 203 partitions
 MAX_PARTITION_ORDER = 6
 
 
-class OrderTooLargeError(ValueError):
-    def __init__(self, n: int):
-        super().__init__(
-            f"exhaustive partition/ideal scan is capped at order {MAX_PARTITION_ORDER}, got {n}"
-        )
-
-
 def _check_order(n: int) -> None:
     if n > MAX_PARTITION_ORDER:
-        raise OrderTooLargeError(n)
+        raise OrderTooLargeError("exhaustive partition/ideal scan", MAX_PARTITION_ORDER, n)
 
 
 @dataclass(frozen=True)
@@ -193,6 +194,7 @@ def congruence_partition(S: OrderedSemigroup, class_of: tuple[int, ...]) -> Cong
     return CongruencePartition(cls, tuple(cmask), prod, order)
 
 
+@derived
 def least_complete_semilattice_congruence(S: OrderedSemigroup) -> CongruencePartition:
     """Closure of the seed pairs (a,a2), (ab,ba), and (a,ab) for a <= b.
 
@@ -200,50 +202,43 @@ def least_complete_semilattice_congruence(S: OrderedSemigroup) -> CongruencePart
     enqueues (cx, cy) and (xc, yc) for all c, which is exactly
     compatibility closure.
     """
+    n, table = S.n, S.table
+    parent = list(range(n))
 
-    def compute():
-        n, table = S.n, S.table
-        parent = list(range(n))
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        queue: list[tuple[int, int]] = []
-        for a in range(n):
-            queue.append((a, table[a][a]))
-            for b in range(n):
-                queue.append((table[a][b], table[b][a]))
-                if S.down[b] >> a & 1:
-                    queue.append((a, table[a][b]))
-        while queue:
-            x, y = queue.pop()
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                continue
-            parent[ry] = rx
-            for c in range(n):
-                queue.append((table[c][x], table[c][y]))
-                queue.append((table[x][c], table[y][c]))
-        return congruence_partition(S, tuple(find(a) for a in range(n)))
-
-    return _memo(S, "least_csl_congruence", compute)
+    queue: list[tuple[int, int]] = []
+    for a in range(n):
+        queue.append((a, table[a][a]))
+        for b in range(n):
+            queue.append((table[a][b], table[b][a]))
+            if S.down[b] >> a & 1:
+                queue.append((a, table[a][b]))
+    while queue:
+        x, y = queue.pop()
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            continue
+        parent[ry] = rx
+        for c in range(n):
+            queue.append((table[c][x], table[c][y]))
+            queue.append((table[x][c], table[y][c]))
+    return congruence_partition(S, tuple(find(a) for a in range(n)))
 
 
+@derived
 def all_complete_semilattice_congruences(S: OrderedSemigroup) -> list[CongruencePartition]:
     """Brute-force partition scan; requires order <= 6."""
-
-    def compute():
-        _check_order(S.n)
-        return [
-            congruence_partition(S, p)
-            for p in partitions(S.n)
-            if is_csl_congruence(S, p)
-        ]
-
-    return _memo(S, "all_csl_congruences", compute)
+    _check_order(S.n)
+    return [
+        congruence_partition(S, p)
+        for p in partitions(S.n)
+        if is_csl_congruence(S, p)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ propagation, each order emitted exactly once.
 The combined stream is resumable: a cursor records the last emitted
 table, how many of its orders were already consumed, and the emission
 count.  Checkpoint files serialize the cursor as JSON with the keys
-order, dedup, prefix-stack, emitted, where prefix-stack holds
+order, dedup, prefix-stack, emitted, where prefix-stack is null or
 {"table": [flat cells], "orders_done": k}.
 """
 
@@ -20,16 +20,16 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator, Sequence
 
-from .core import Mask, OrderedSemigroup, iter_mask
+from .core import Mask, OrderedSemigroup, OrderTooLargeError, iter_mask
 
 MAX_ENUM_ORDER = 5
 
 DEDUP_MODES = ("raw", "iso")
 
 
-class OrderTooLargeError(ValueError):
-    def __init__(self, n: int):
-        super().__init__(f"enumeration is capped at order {MAX_ENUM_ORDER}, got {n}")
+def _check_order(n: int) -> None:
+    if not 1 <= n <= MAX_ENUM_ORDER:
+        raise OrderTooLargeError("enumeration", MAX_ENUM_ORDER, n)
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +93,7 @@ def enumerate_tables(
     resume_table makes the stream start at that flat table (inclusive),
     skipping everything lexicographically below it.
     """
-    if not 1 <= n <= MAX_ENUM_ORDER:
-        raise OrderTooLargeError(n)
+    _check_order(n)
     t = [[-1] * n for _ in range(n)]
     cells = [(i, j) for i in range(n) for j in range(n)]
 
@@ -258,17 +257,40 @@ class EnumerationCursor:
 
     @staticmethod
     def from_json(text: str) -> "EnumerationCursor":
+        """Parse a checkpoint; ValueError unless it is well typed, within
+        the order cap, and holds an associative table of that order."""
         obj = json.loads(text)
-        prefix = obj["prefix-stack"]
-        table = tuple(prefix["table"]) if prefix is not None else None
-        orders_done = prefix["orders_done"] if prefix is not None else 0
-        return EnumerationCursor(
-            order=obj["order"],
-            dedup=obj["dedup"],
-            table=table,
-            orders_done=orders_done,
-            emitted=obj["emitted"],
-        )
+        if not isinstance(obj, dict):
+            raise ValueError("checkpoint must be a JSON object")
+        try:
+            order, dedup, prefix, emitted = (
+                obj[k] for k in ("order", "dedup", "prefix-stack", "emitted")
+            )
+        except KeyError as e:
+            raise ValueError(f"missing key {e.args[0]!r}") from None
+        if type(order) is not int:
+            raise ValueError(f"order must be an integer, got {order!r}")
+        _check_order(order)
+        if dedup not in DEDUP_MODES:
+            raise ValueError(f"dedup must be one of {DEDUP_MODES}, got {dedup!r}")
+        if type(emitted) is not int or emitted < 0:
+            raise ValueError(f"emitted must be an integer >= 0, got {emitted!r}")
+        if prefix is None:
+            return EnumerationCursor(order, dedup, None, 0, emitted)
+        if not isinstance(prefix, dict) or not {"table", "orders_done"} <= prefix.keys():
+            raise ValueError('prefix-stack must be null or {"table": [...], "orders_done": k}')
+        n, table, orders_done = order, prefix["table"], prefix["orders_done"]
+        if not isinstance(table, list) or len(table) != n * n or any(
+            type(v) is not int or not 0 <= v < n for v in table
+        ):
+            raise ValueError(f"prefix-stack table must be {n * n} cells in [0,{n})")
+        t = [table[i * n : (i + 1) * n] for i in range(n)]
+        rng = range(n)
+        if any(t[t[i][j]][k] != t[i][t[j][k]] for i in rng for j in rng for k in rng):
+            raise ValueError("prefix-stack table is not associative")
+        if type(orders_done) is not int or orders_done < 1:
+            raise ValueError(f"orders_done must be an integer >= 1, got {orders_done!r}")
+        return EnumerationCursor(order, dedup, tuple(table), orders_done, emitted)
 
 
 class StructureStream:
@@ -281,8 +303,7 @@ class StructureStream:
         cursor: EnumerationCursor | None = None,
         first_row: Sequence[int] | None = None,
     ):
-        if not 1 <= n <= MAX_ENUM_ORDER:
-            raise OrderTooLargeError(n)
+        _check_order(n)
         if dedup not in DEDUP_MODES:
             raise ValueError(f"dedup must be one of {DEDUP_MODES}")
         if cursor is not None and (cursor.order != n or cursor.dedup != dedup):

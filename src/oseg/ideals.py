@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     Mask,
@@ -11,7 +11,7 @@ from .core import (
     _aSa,
     _Sa,
     _SaS,
-    _memo,
+    derived,
     downset,
     full_mask,
     iter_mask,
@@ -36,6 +36,7 @@ class NotClosedError(ValueError):
         super().__init__(f"subset not closed under multiplication: {a}*{b} escapes")
 
 
+@derived
 def _principal_vector(S: OrderedSemigroup, kind: str) -> tuple[Mask, ...]:
     """principal ideal of each element, as one cached vector per kind.
 
@@ -44,26 +45,22 @@ def _principal_vector(S: OrderedSemigroup, kind: str) -> tuple[Mask, ...]:
     two-sided  I(a) = (a u Sa u aS u SaS]
     bi     B(a) = (a u aSa]
     """
-
-    def compute():
-        n = S.n
-        if kind == "left":
-            gens = _Sa(S)
-            return tuple(downset(S, 1 << a | gens[a]) for a in range(n))
-        if kind == "right":
-            gens = _aS(S)
-            return tuple(downset(S, 1 << a | gens[a]) for a in range(n))
-        if kind == "two-sided":
-            sa, as_, sas = _Sa(S), _aS(S), _SaS(S)
-            return tuple(
-                downset(S, 1 << a | sa[a] | as_[a] | sas[a]) for a in range(n)
-            )
-        if kind == "bi":
-            gens = _aSa(S)
-            return tuple(downset(S, 1 << a | gens[a]) for a in range(n))
-        raise ValueError(f"unknown ideal kind {kind!r}")
-
-    return _memo(S, "principal:" + kind, compute)
+    n = S.n
+    if kind == "left":
+        gens = _Sa(S)
+        return tuple(downset(S, 1 << a | gens[a]) for a in range(n))
+    if kind == "right":
+        gens = _aS(S)
+        return tuple(downset(S, 1 << a | gens[a]) for a in range(n))
+    if kind == "two-sided":
+        sa, as_, sas = _Sa(S), _aS(S), _SaS(S)
+        return tuple(
+            downset(S, 1 << a | sa[a] | as_[a] | sas[a]) for a in range(n)
+        )
+    if kind == "bi":
+        gens = _aSa(S)
+        return tuple(downset(S, 1 << a | gens[a]) for a in range(n))
+    raise ValueError(f"unknown ideal kind {kind!r}")
 
 
 def principal_ideal(S: OrderedSemigroup, a: int, kind: str) -> Mask:
@@ -106,19 +103,16 @@ def is_simple(S: OrderedSemigroup, kind: str) -> bool:
     return all(v == full for v in _principal_vector(S, kind))
 
 
+@derived
 def kernel(S: OrderedSemigroup) -> Mask:
     """The least two-sided ideal: intersection of all principal ideals.
 
     Nonempty for every finite ordered semigroup.
     """
-
-    def compute():
-        k = full_mask(S.n)
-        for v in _principal_vector(S, "two-sided"):
-            k &= v
-        return k
-
-    return _memo(S, "kernel", compute)
+    k = full_mask(S.n)
+    for v in _principal_vector(S, "two-sided"):
+        k &= v
+    return k
 
 
 @dataclass(frozen=True)
@@ -126,20 +120,11 @@ class Restriction:
     """A multiplicatively closed subset as a structure of its own.
 
     The inherited order is the ambient order cut down to the subset.
-    embed maps new indices to old ones; index maps old to new.
+    embed maps new indices to old ones.
     """
 
     structure: OrderedSemigroup
     embed: tuple[int, ...]
-    index: dict[int, int] = field(compare=False)
-
-    def to_sub(self, mask: Mask) -> Mask:
-        """Translate an ambient-element mask into the restricted indexing."""
-        out = 0
-        for old, new in self.index.items():
-            if mask >> old & 1:
-                out |= 1 << new
-        return out
 
     def to_ambient(self, mask: Mask) -> Mask:
         out = 0
@@ -167,7 +152,7 @@ def restrict(S: OrderedSemigroup, mask: Mask) -> Restriction:
             m |= 1 << index[i]
         sub_down.append(m)
     sub = OrderedSemigroup(len(elems), sub_table, tuple(sub_down))
-    return Restriction(structure=sub, embed=tuple(elems), index=index)
+    return Restriction(structure=sub, embed=tuple(elems))
 
 
 def all_ideals(S: OrderedSemigroup, kind: str = "two-sided") -> list[Mask]:

@@ -22,8 +22,8 @@ from typing import Callable, Union
 from . import ideals, regularity, relations
 from .core import OrderedSemigroup, full_mask
 from .decomposition import (
-    OrderTooLargeError,
     TypePredicate,
+    _check_order,
     is_complete_semilattice_of,
     nil_extension_of_type,
 )
@@ -234,8 +234,9 @@ def evaluate(S: OrderedSemigroup, e: Expr) -> bool:
     if isinstance(e, CslOf):
         tau = TypePredicate(to_text(e.arg), lambda sub: evaluate(sub, e.arg))
         result = is_complete_semilattice_of(S, tau)
-        if not result.holds and result.mode == "least-congruence-only":
-            # a negative from the least congruence alone is not an answer
-            raise OrderTooLargeError(S.n)
+        if result.mode == "least-congruence-only":
+            # a negative from the least congruence alone is not an answer;
+            # this mode means S.n is over the cap, so the check raises
+            _check_order(S.n)
         return result.holds
     raise TypeError(f"not a property expression: {e!r}")

@@ -20,9 +20,9 @@ from .core import (
     Mask,
     OrderedSemigroup,
     _aSa,
-    _memo,
     _powers,
     _SaS,
+    derived,
     downset,
     full_mask,
 )
@@ -36,42 +36,38 @@ class RegularityProfile:
     intra_witness: tuple[int | None, ...]  # least m with a^m in (S a^2m S]
 
 
+@derived
 def _regular_mask(S: OrderedSemigroup) -> Mask:
-    def compute():
-        m = 0
-        for a, asa in enumerate(_aSa(S)):
-            if downset(S, asa) >> a & 1:
-                m |= 1 << a
-        return m
-
-    return _memo(S, "regular_mask", compute)
+    m = 0
+    for a, asa in enumerate(_aSa(S)):
+        if downset(S, asa) >> a & 1:
+            m |= 1 << a
+    return m
 
 
+@derived
 def regularity_profile(S: OrderedSemigroup) -> RegularityProfile:
-    def compute():
-        n = S.n
-        reg = _regular_mask(S)
-        table = S.table
-        sas_down = tuple(downset(S, m) for m in _SaS(S))
-        pi: list[int | None] = []
-        intra: list[int | None] = []
-        for a in range(n):
-            powers = _powers(S)[a]
-            pi.append(next((m for m in range(1, n + 1) if reg >> powers[m - 1] & 1), None))
-            w = None
-            for m in range(1, n + 1):
-                p = powers[m - 1]
-                if sas_down[table[p][p]] >> p & 1:  # a^2m = (a^m)^2
-                    w = m
-                    break
-            intra.append(w)
-        return RegularityProfile(
-            is_regular=tuple(reg >> a & 1 == 1 for a in range(n)),
-            pi_witness=tuple(pi),
-            intra_witness=tuple(intra),
-        )
-
-    return _memo(S, "regularity_profile", compute)
+    n = S.n
+    reg = _regular_mask(S)
+    table = S.table
+    sas_down = tuple(downset(S, m) for m in _SaS(S))
+    pi: list[int | None] = []
+    intra: list[int | None] = []
+    for a in range(n):
+        powers = _powers(S)[a]
+        pi.append(next((m for m in range(1, n + 1) if reg >> powers[m - 1] & 1), None))
+        w = None
+        for m in range(1, n + 1):
+            p = powers[m - 1]
+            if sas_down[table[p][p]] >> p & 1:  # a^2m = (a^m)^2
+                w = m
+                break
+        intra.append(w)
+    return RegularityProfile(
+        is_regular=tuple(reg >> a & 1 == 1 for a in range(n)),
+        pi_witness=tuple(pi),
+        intra_witness=tuple(intra),
+    )
 
 
 def is_regular(S: OrderedSemigroup, a: int) -> bool:
@@ -83,34 +79,29 @@ def regular_elements(S: OrderedSemigroup) -> Mask:
     return _regular_mask(S)
 
 
+@derived
 def ordered_idempotents(S: OrderedSemigroup) -> Mask:
     """{e : e <= e*e}."""
-
-    def compute():
-        m = 0
-        for e in range(S.n):
-            if S.leq(e, S.table[e][e]):
-                m |= 1 << e
-        return m
-
-    return _memo(S, "ordered_idempotents", compute)
+    m = 0
+    for e in range(S.n):
+        if S.leq(e, S.table[e][e]):
+            m |= 1 << e
+    return m
 
 
+@derived
 def _inverse_vector(S: OrderedSemigroup) -> tuple[Mask, ...]:
-    def compute():
-        n, table = S.n, S.table
-        rows = []
-        for a in range(n):
-            m = 0
-            for b in range(n):
-                aba = table[table[a][b]][a]
-                bab = table[table[b][a]][b]
-                if S.leq(a, aba) and S.leq(b, bab):
-                    m |= 1 << b
-            rows.append(m)
-        return tuple(rows)
-
-    return _memo(S, "inverses", compute)
+    n, table = S.n, S.table
+    rows = []
+    for a in range(n):
+        m = 0
+        for b in range(n):
+            aba = table[table[a][b]][a]
+            bab = table[table[b][a]][b]
+            if S.leq(a, aba) and S.leq(b, bab):
+                m |= 1 << b
+        rows.append(m)
+    return tuple(rows)
 
 
 def inverses(S: OrderedSemigroup, a: int) -> Mask:
@@ -128,12 +119,7 @@ def is_intra_pi_regular(S: OrderedSemigroup) -> bool:
 
 def pi_intra_set(S: OrderedSemigroup) -> Mask:
     """The intra pi-regular elements."""
-    prof = regularity_profile(S)
-    m = 0
-    for a, w in enumerate(prof.intra_witness):
-        if w is not None:
-            m |= 1 << a
-    return m
+    return _witness_mask(regularity_profile(S).intra_witness)
 
 
 def _pairwise_related(rows: tuple[Mask, ...], subset: Mask) -> bool:
@@ -144,7 +130,9 @@ def _pairwise_related(rows: tuple[Mask, ...], subset: Mask) -> bool:
     return subset & ~rows[first] == 0
 
 
-def _agree_set(S: OrderedSemigroup, rows: tuple[Mask, ...], include_irregular: bool) -> Mask:
+@derived
+def _rv_mask(S: OrderedSemigroup, include_irregular: bool) -> Mask:
+    rows = green(S, "R").rows
     vinv = _inverse_vector(S)
     m = 0
     for a in range(S.n):
@@ -158,10 +146,13 @@ def _agree_set(S: OrderedSemigroup, rows: tuple[Mask, ...], include_irregular: b
     return m
 
 
+@derived
 def _pi_agree_witness(
-    S: OrderedSemigroup, rows: tuple[Mask, ...], include_irregular: bool
+    S: OrderedSemigroup, which: str, include_irregular: bool
 ) -> tuple[int | None, ...]:
-    """Per element: least m with V(a^m) nonempty and pairwise related."""
+    """Per element: least m with V(a^m) nonempty and pairwise related by
+    the Green relation ``which``."""
+    rows = green(S, which).rows
     vinv = _inverse_vector(S)
     out: list[int | None] = []
     for a in range(S.n):
@@ -190,48 +181,34 @@ def _witness_mask(witness: tuple[int | None, ...]) -> Mask:
 
 def rv_set(S: OrderedSemigroup, include_irregular: bool = False) -> Mask:
     """Elements whose ordered inverses are pairwise R-related."""
-    rrows = green(S, "R").rows
-    if include_irregular:
-        return _agree_set(S, rrows, True)
-    return _memo(S, "rv_set", lambda: _agree_set(S, rrows, False))
+    return _rv_mask(S, include_irregular)
 
 
 def pi_rv_set(S: OrderedSemigroup, include_irregular: bool = False) -> Mask:
     """Elements with some power whose inverses are pairwise R-related."""
-    if include_irregular:
-        return _witness_mask(_pi_agree_witness(S, green(S, "R").rows, True))
-    return _witness_mask(pi_rv_witness(S))
+    return _witness_mask(_pi_agree_witness(S, "R", include_irregular))
 
 
 def pi_rv_witness(S: OrderedSemigroup) -> tuple[int | None, ...]:
     """Least exponent per element witnessing pi_rv_set membership."""
-    return _memo(S, "pi_rv_witness", lambda: _pi_agree_witness(S, green(S, "R").rows, False))
+    return _pi_agree_witness(S, "R", False)
 
 
-def _pi_lv_mask(S: OrderedSemigroup) -> Mask:
-    return _memo(
-        S, "pi_lv_mask", lambda: _witness_mask(_pi_agree_witness(S, green(S, "L").rows, False))
-    )
-
-
-def _pi_hv_mask(S: OrderedSemigroup) -> Mask:
-    return _memo(
-        S, "pi_hv_mask", lambda: _witness_mask(_pi_agree_witness(S, green(S, "H").rows, False))
-    )
-
+# Every finite structure is pi-regular (some power of each element is
+# idempotent), so the pi-inverse family needs no pi-regularity conjunct.
 
 def is_right_pi_inverse(S: OrderedSemigroup) -> bool:
-    """pi-regular, and some power of each element has R-related inverses."""
-    return is_pi_regular(S) and pi_rv_set(S) == full_mask(S.n)
+    """Some power of each element has R-related inverses."""
+    return pi_rv_set(S) == full_mask(S.n)
 
 
 def is_left_pi_inverse(S: OrderedSemigroup) -> bool:
-    return is_pi_regular(S) and _pi_lv_mask(S) == full_mask(S.n)
+    return _witness_mask(_pi_agree_witness(S, "L", False)) == full_mask(S.n)
 
 
 def is_pi_inverse(S: OrderedSemigroup) -> bool:
     """The H-related reading, the common refinement of left and right."""
-    return is_pi_regular(S) and _pi_hv_mask(S) == full_mask(S.n)
+    return _witness_mask(_pi_agree_witness(S, "H", False)) == full_mask(S.n)
 
 
 def is_right_inverse(S: OrderedSemigroup) -> bool:

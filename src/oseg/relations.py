@@ -9,12 +9,12 @@ from .core import (
     OrderedSemigroup,
     _aS,
     _aSa,
-    _memo,
     _monoid_extension,
     _power_masks,
     _powers,
     _Sa,
     _SaS,
+    derived,
     downset,
     full_mask,
     members,
@@ -28,12 +28,6 @@ STAR_KINDS = ("L*", "R*", "J*", "H*")
 #: Archimedean flavor -> the product set whose downward closure must
 #: swallow a power of every element: b^m in (Sa], (aS], (aSa], (SaS]
 ARCHIMEDEAN_FLAVORS = ("two-sided", "l", "r", "t")
-
-
-class NotPiRegularError(ValueError):
-    def __init__(self, element: int):
-        self.element = element
-        super().__init__(f"element {element} has no regular power; starred relations undefined")
 
 
 @dataclass(frozen=True)
@@ -67,82 +61,60 @@ def _rows_from_keys(keys: list) -> tuple[Mask, ...]:
     return tuple(by_key[k] for k in keys)
 
 
+@derived
 def green(S: OrderedSemigroup, which: str) -> EquivalenceRelation:
     """a ~ b iff the corresponding principal ideals agree; H = L and R."""
-
-    def compute():
-        if which == "H":
-            lrows = green(S, "L").rows
-            rrows = green(S, "R").rows
-            rows = tuple(lr & rr for lr, rr in zip(lrows, rrows))
-        else:
-            kind = {"L": "left", "R": "right", "J": "two-sided"}[which]
-            rows = _rows_from_keys(list(_principal_vector(S, kind)))
-        return EquivalenceRelation(which, rows)
-
     if which not in GREEN_KINDS:
         raise ValueError(f"unknown Green relation {which!r}")
-    return _memo(S, "green:" + which, compute)
+    if which == "H":
+        lrows = green(S, "L").rows
+        rrows = green(S, "R").rows
+        rows = tuple(lr & rr for lr, rr in zip(lrows, rrows))
+    else:
+        kind = {"L": "left", "R": "right", "J": "two-sided"}[which]
+        rows = _rows_from_keys(list(_principal_vector(S, kind)))
+    return EquivalenceRelation(which, rows)
 
 
+@derived
 def _star_reps(S: OrderedSemigroup) -> tuple[int, ...]:
     """For each a, the value of its first regular power a^m.
 
-    Raises NotPiRegularError when some element has no regular power.
+    Some power of every element of a finite structure is idempotent,
+    hence regular, so every element has one.
     """
+    from .regularity import regular_elements
 
-    def compute():
-        from .regularity import regular_elements
-
-        reg = regular_elements(S)
-        reps = []
-        for a, powers in enumerate(_powers(S)):
-            for p in powers:
-                if reg >> p & 1:
-                    reps.append(p)
-                    break
-            else:
-                raise NotPiRegularError(a)
-        return tuple(reps)
-
-    return _memo(S, "star_reps", compute)
+    reg = regular_elements(S)
+    return tuple(next(p for p in powers if reg >> p & 1) for powers in _powers(S))
 
 
+@derived
 def green_star(S: OrderedSemigroup, which: str) -> EquivalenceRelation:
-    """Starred relation: compare the first regular powers of the elements.
-
-    Only defined on pi-regular structures.
-    """
-
-    def compute():
-        if which == "H*":
-            lrows = green_star(S, "L*").rows
-            rrows = green_star(S, "R*").rows
-            rows = tuple(lr & rr for lr, rr in zip(lrows, rrows))
-        else:
-            reps = _star_reps(S)
-            base = green(S, which[0])
-            rows = _rows_from_keys([base.rows[reps[a]] for a in range(S.n)])
-        return EquivalenceRelation(which, rows)
-
+    """Starred relation: compare the first regular powers of the elements."""
     if which not in STAR_KINDS:
         raise ValueError(f"unknown starred relation {which!r}")
-    return _memo(S, "green_star:" + which, compute)
+    if which == "H*":
+        lrows = green_star(S, "L*").rows
+        rrows = green_star(S, "R*").rows
+        rows = tuple(lr & rr for lr, rr in zip(lrows, rrows))
+    else:
+        reps = _star_reps(S)
+        base = green(S, which[0])
+        rows = _rows_from_keys([base.rows[reps[a]] for a in range(S.n)])
+    return EquivalenceRelation(which, rows)
 
 
+@derived
 def _divisor_rows(S: OrderedSemigroup) -> tuple[Mask, ...]:
     """rows[a] = mask of b with a | b, decided inside the monoid extension."""
-
-    def compute():
-        ext = _monoid_extension(S).structure
-        full_ext = full_mask(ext.n)
-        rows = []
-        for a in range(S.n):
-            xay = subset_product(ext, subset_product(ext, full_ext, 1 << a), full_ext)
-            rows.append(downset(ext, xay) & full_mask(S.n))
-        return tuple(rows)
-
-    return _memo(S, "divisor_rows", compute)
+    ext = _monoid_extension(S).structure
+    full_ext = full_mask(ext.n)
+    rows = []
+    for a in range(S.n):
+        xay = subset_product(ext, subset_product(ext, full_ext, 1 << a), full_ext)
+        rows.append(downset(ext, xay) & full_mask(S.n))
+    return tuple(rows)
 
 
 def divides(S: OrderedSemigroup, a: int, b: int) -> bool:
@@ -150,6 +122,7 @@ def divides(S: OrderedSemigroup, a: int, b: int) -> bool:
     return _divisor_rows(S)[a] >> b & 1 == 1
 
 
+@derived
 def _archimedean_targets(S: OrderedSemigroup, flavor: str) -> tuple[Mask, ...]:
     if flavor == "two-sided":
         vec = _SaS(S)
@@ -161,9 +134,10 @@ def _archimedean_targets(S: OrderedSemigroup, flavor: str) -> tuple[Mask, ...]:
         vec = _aSa(S)
     else:
         raise ValueError(f"unknown Archimedean flavor {flavor!r}")
-    return _memo(S, "arch_targets:" + flavor, lambda: tuple(downset(S, m) for m in vec))
+    return tuple(downset(S, m) for m in vec)
 
 
+@derived
 def is_archimedean(S: OrderedSemigroup, flavor: str) -> bool:
     """Every pair (a, b) has some m with b^m in the flavor's closed set.
 
@@ -171,10 +145,6 @@ def is_archimedean(S: OrderedSemigroup, flavor: str) -> bool:
     over m in 1..n is exhaustive because the distinct powers of b all
     occur in that range.
     """
-
-    def compute():
-        targets = _archimedean_targets(S, flavor)
-        pows = _power_masks(S)
-        return all(pows[b] & targets[a] for a in range(S.n) for b in range(S.n))
-
-    return _memo(S, "archimedean:" + flavor, compute)
+    targets = _archimedean_targets(S, flavor)
+    pows = _power_masks(S)
+    return all(pows[b] & targets[a] for a in range(S.n) for b in range(S.n))

@@ -30,8 +30,8 @@ from .decomposition import (
     nil_extension_of_type,
 )
 from .regularity import (
+    _pairwise_related,
     is_pi_inverse,
-    is_pi_regular,
     is_right_inverse,
     is_right_pi_inverse,
     ordered_idempotents,
@@ -86,17 +86,24 @@ class TheoremReport:
 # shared pieces
 
 
-def _pairwise_on(rel, mask: Mask) -> bool:
-    """All pairs drawn from mask related."""
-    if mask == 0:
-        return True
-    first = (mask & -mask).bit_length() - 1
-    return mask & ~rel.rows[first] == 0
-
-
 def _implication_on(rel_a, rel_b, mask: Mask) -> bool:
     """a ~A b implies a ~B b for all pairs from mask."""
     return all(rel_a.rows[i] & mask & ~rel_b.rows[i] == 0 for i in iter_mask(mask))
+
+
+def _raw_power_masks(S: OrderedSemigroup) -> list[Mask]:
+    """Per element, the mask of a^1..a^n, straight from the table.
+
+    For conditions that restate a cached one independently; sharing
+    core._powers would collapse the equivalence they check.
+    """
+    pow_masks = [0] * S.n
+    for a in range(S.n):
+        x = a
+        for _ in range(S.n):
+            pow_masks[a] |= 1 << x
+            x = S.table[x][a]
+    return pow_masks
 
 
 def _tau(name: str, *checks: Callable[[OrderedSemigroup], bool]) -> TypePredicate:
@@ -192,7 +199,6 @@ def _eval_thm_15(S: OrderedSemigroup):
 
 def _eval_thm_74(S: OrderedSemigroup):
     pinv = is_pi_inverse(S)
-    pireg = is_pi_regular(S)
     E = ordered_idempotents(S)
     ne_left = nil_extension_of_type(S, TAU_LEFT_SIMPLE_PI_INV)
     ne_t = nil_extension_of_type(S, TAU_T_SIMPLE_PI_INV)
@@ -200,9 +206,10 @@ def _eval_thm_74(S: OrderedSemigroup):
         "i_nilext_left_simple_pi_inverse": ne_left.found,
         "ii_pi_inverse_and_l_archimedean": pinv and is_archimedean(S, "l"),
         "iii_pi_inverse_and_lstar_universal": pinv and green_star(S, "L*").is_universal(),
-        "iv_pi_inverse_and_idempotents_lstar": pinv and _pairwise_on(green_star(S, "L*"), E),
-        "v_pi_regular_and_idempotents_hstar": pireg and _pairwise_on(green_star(S, "H*"), E),
-        "vi_pi_regular_and_hstar_universal": pireg and green_star(S, "H*").is_universal(),
+        "iv_pi_inverse_and_idempotents_lstar": pinv and _pairwise_related(green_star(S, "L*").rows, E),
+        # the pi-regular conjunct holds on every finite structure
+        "v_pi_regular_and_idempotents_hstar": _pairwise_related(green_star(S, "H*").rows, E),
+        "vi_pi_regular_and_hstar_universal": green_star(S, "H*").is_universal(),
         "vii_pi_inverse_and_t_archimedean": pinv and is_archimedean(S, "t"),
         "viii_nilext_t_simple_pi_inverse": ne_t.found,
     }
@@ -221,7 +228,7 @@ def _eval_cor_76(S: OrderedSemigroup):
     ne = nil_extension_of_type(S, TAU_SIMPLE_PI_INV)
     conditions = {
         "i_nilext_simple_pi_inverse": ne.found,
-        "ii_pi_inverse_and_idempotents_jstar": pinv and _pairwise_on(green_star(S, "J*"), E),
+        "ii_pi_inverse_and_idempotents_jstar": pinv and _pairwise_related(green_star(S, "J*").rows, E),
     }
     witnesses = {"i": _nilext_witness(ne), "ordered_idempotents": members(E)}
     verdict, violation = _equiv_verdict(conditions)
@@ -231,12 +238,7 @@ def _eval_cor_76(S: OrderedSemigroup):
 def _eval_lem_cao(S: OrderedSemigroup):
     # condition (ii) recomputes the power condition from the raw table;
     # sharing is_nil_extension's loop would collapse the equivalence check
-    pow_masks = [0] * S.n
-    for a in range(S.n):
-        x = a
-        for _ in range(S.n):
-            pow_masks[a] |= 1 << x
-            x = S.table[x][a]
+    pow_masks = _raw_power_masks(S)
     conditions: dict[str, bool] = {}
     bad = []
     for K in ideals.all_ideals(S, "two-sided"):
@@ -325,7 +327,6 @@ def _eval_lem_ne53(S: OrderedSemigroup):
 
 def _eval_thm_1005(S: OrderedSemigroup):
     rpi = is_right_pi_inverse(S)
-    pireg = is_pi_regular(S)
     pinv = is_pi_inverse(S)
     E = ordered_idempotents(S)
     t_arch = is_archimedean(S, "t")
@@ -335,9 +336,10 @@ def _eval_thm_1005(S: OrderedSemigroup):
         "i_nilext_left_simple_rpi": ne_left.found,
         "ii_rpi_and_l_archimedean": rpi and is_archimedean(S, "l"),
         "iii_rpi_and_lstar_universal": rpi and green_star(S, "L*").is_universal(),
-        "iv_rpi_and_idempotents_lstar": rpi and _pairwise_on(green_star(S, "L*"), E),
-        "v_pi_regular_and_idempotents_hstar": pireg and _pairwise_on(green_star(S, "H*"), E),
-        "vi_pi_regular_and_hstar_universal": pireg and green_star(S, "H*").is_universal(),
+        "iv_rpi_and_idempotents_lstar": rpi and _pairwise_related(green_star(S, "L*").rows, E),
+        # the pi-regular conjunct holds on every finite structure
+        "v_pi_regular_and_idempotents_hstar": _pairwise_related(green_star(S, "H*").rows, E),
+        "vi_pi_regular_and_hstar_universal": green_star(S, "H*").is_universal(),
         "vii_pi_inverse_and_t_archimedean": pinv and t_arch,
         "viii_rpi_and_t_archimedean": rpi and t_arch,
         "ix_nilext_t_simple_rpi": ne_t.found,
@@ -357,17 +359,12 @@ def _eval_cor_simple(S: OrderedSemigroup):
     ne = nil_extension_of_type(S, TAU_SIMPLE_RPI)
     # condition (iv) spelled out by definition, independent of the cached
     # path that condition (v) takes through is_archimedean
-    pow_masks = [0] * S.n
-    for a in range(S.n):
-        x = a
-        for _ in range(S.n):
-            pow_masks[a] |= 1 << x
-            x = S.table[x][a]
+    pow_masks = _raw_power_masks(S)
     targets = [downset(S, m) for m in _SaS(S)]
     iv = all(pow_masks[a] & targets[b] for a in range(S.n) for b in range(S.n))
     conditions = {
         "i_nilext_simple_rpi": ne.found,
-        "ii_rpi_and_idempotents_jstar": rpi and _pairwise_on(green_star(S, "J*"), E),
+        "ii_rpi_and_idempotents_jstar": rpi and _pairwise_related(green_star(S, "J*").rows, E),
         "iii_rpi_and_jstar_universal": rpi and green_star(S, "J*").is_universal(),
         "iv_rpi_and_powers_reach_sbs": rpi and iv,
         "v_rpi_and_archimedean": rpi and is_archimedean(S, "two-sided"),
@@ -468,12 +465,6 @@ def _eval_thm_774_adapted(S: OrderedSemigroup):
 # catalog table
 
 
-def _needs_pi_regular(S: OrderedSemigroup) -> str | None:
-    if not is_pi_regular(S):
-        return "structure is not pi-regular"
-    return None
-
-
 def _needs_small_order(S: OrderedSemigroup) -> str | None:
     if S.n > MAX_PARTITION_ORDER:
         return f"exhaustive ideal/congruence scan requires order <= {MAX_PARTITION_ORDER}"
@@ -491,8 +482,8 @@ class CatalogEntry:
 _CATALOG: dict[str, CatalogEntry] = {
     e.theorem_id: e
     for e in (
-        CatalogEntry("thm-500", _eval_thm_500, _needs_pi_regular),
-        CatalogEntry("thm-15", _eval_thm_15, _needs_pi_regular),
+        CatalogEntry("thm-500", _eval_thm_500),
+        CatalogEntry("thm-15", _eval_thm_15),
         CatalogEntry("thm-74", _eval_thm_74),
         CatalogEntry("cor-76", _eval_cor_76),
         CatalogEntry("lem-cao", _eval_lem_cao, _needs_small_order),

@@ -99,6 +99,14 @@ class TestAnalyze:
         assert code == 2
 
 
+def _cursor(order=3, dedup="raw", prefix=None, emitted=1) -> dict:
+    return {"order": order, "dedup": dedup, "prefix-stack": prefix, "emitted": emitted}
+
+
+def _prefix(table, orders_done=1) -> dict:
+    return {"table": table, "orders_done": orders_done}
+
+
 class TestEnumerate:
     def test_stream_stdout(self, capsys):
         code, out = run(capsys, "enumerate", "--order", "2")
@@ -143,6 +151,36 @@ class TestEnumerate:
         code, _ = run(capsys, "enumerate", "--order", "6")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "cursor",
+        [
+            "{",
+            "[]",
+            {"order": 3, "dedup": "raw", "emitted": 1},
+            _cursor(order="3"),
+            _cursor(order=9),
+            _cursor(dedup="none"),
+            _cursor(emitted=-1),
+            _cursor(emitted=True),
+            _cursor(prefix=[0, 1]),
+            _cursor(prefix={"table": [0] * 9}),
+            _cursor(prefix=_prefix([0] * 4)),
+            _cursor(prefix=_prefix([9] * 9)),
+            _cursor(prefix=_prefix(["0"] * 9)),
+            _cursor(prefix=_prefix([1, 1, 1] + [0] * 6)),  # (0*0)*0 = 0, 0*(0*0) = 1
+            _cursor(prefix=_prefix([0] * 9, orders_done=0)),
+            _cursor(prefix=_prefix([0] * 9, orders_done=1.5)),
+        ],
+    )
+    def test_malformed_checkpoint_exit_2(self, capsys, tmp_path, cursor):
+        ck_path = tmp_path / "cursor.json"
+        ck_path.write_text(cursor if isinstance(cursor, str) else json.dumps(cursor))
+        code = main(["enumerate", "--order", "3", "--checkpoint", str(ck_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("invalid checkpoint: ")
+
 
 class TestVerify:
     def test_order_2_all_consistent(self, capsys):
@@ -160,6 +198,13 @@ class TestVerify:
     def test_unknown_theorem_usage_error(self, capsys):
         code = main(["verify", "--order", "2", "--theorem", "thm-nope"])
         assert code == 1
+
+    def test_order_cap_same_for_every_jobs_value(self, capsys):
+        errs = []
+        for jobs in ("1", "2"):
+            assert main(["verify", "--order", "6", "--jobs", jobs]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == "invalid: enumeration is capped at order 5, got 6\n"
 
     def test_jobs_byte_identical(self, capsys):
         _, sequential = run(capsys, "verify", "--order", "2", "--all")

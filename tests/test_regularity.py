@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
+
 from conftest import (
     mask_set,
+    oracle_intra_pi_regular,
     oracle_inverses,
     oracle_pi_regular,
     oracle_regular,
@@ -12,6 +15,7 @@ from conftest import (
     structure_tables,
 )
 from oseg.core import full_mask
+from oseg.enumeration import enumerate_tables
 from oseg.fixtures import LZ2, N2, RZ2, SL2, T1
 from oseg.regularity import (
     inverses,
@@ -115,6 +119,19 @@ class TestPiRegularity:
         """Power sequences reach idempotents, so these are all pi-regular."""
         for S in corpus3:
             assert is_pi_regular(S)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_lemma_every_finite_table_pi_and_intra_pi_regular(self, n):
+        """Some power a^k is an idempotent e, and e = eee, e = e e^2 e.
+
+        The discrete order is the hardest case: a coarser order only
+        enlarges the downsets these conditions ask a^k to lie in.  The
+        package relies on this to drop pi-regularity preconditions.
+        """
+        leq = [[i == j for j in range(n)] for i in range(n)]
+        for table in enumerate_tables(n):
+            assert oracle_pi_regular(table, leq), table
+            assert oracle_intra_pi_regular(table, leq), table
 
 
 class TestRvSets:
