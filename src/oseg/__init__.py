@@ -2,10 +2,8 @@
 
 from .core import (
     InvalidStructureError,
-    MonoidExtension,
     OrderedSemigroup,
     StructureFormatError,
-    adjoin_identity,
     canonical_json,
     downset,
     full_mask,
@@ -14,7 +12,6 @@ from .core import (
     members,
     parse_structure,
     power,
-    power_profile,
     subset_product,
     validate,
 )
@@ -23,10 +20,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "InvalidStructureError",
-    "MonoidExtension",
     "OrderedSemigroup",
     "StructureFormatError",
-    "adjoin_identity",
     "canonical_json",
     "downset",
     "full_mask",
@@ -35,7 +30,6 @@ __all__ = [
     "members",
     "parse_structure",
     "power",
-    "power_profile",
     "subset_product",
     "validate",
     "__version__",

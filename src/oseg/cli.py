@@ -213,16 +213,26 @@ def _cmd_enumerate(args, out) -> int:
         print(f"invalid: {e}", file=sys.stderr)
         return 2
 
-    def save_checkpoint():
-        if args.checkpoint:
-            with open(args.checkpoint, "w", encoding="utf-8") as fh:
-                fh.write(stream.cursor.to_json() + "\n")
-
     sink = out
     close_sink = False
     if args.out:
         sink = open(args.out, "a" if resuming else "w", encoding="utf-8")
         close_sink = True
+
+    def save_checkpoint():
+        """Make --out durable, then swap the new cursor in atomically, so a
+        kill leaves the previous checkpoint or this one, never a torn file."""
+        if not args.checkpoint:
+            return
+        sink.flush()
+        if args.out:
+            os.fsync(sink.fileno())
+        tmp = args.checkpoint + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(stream.cursor.to_json() + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, args.checkpoint)
     try:
         emitted = 0
         for S in stream:

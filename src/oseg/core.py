@@ -279,25 +279,6 @@ def power(S: OrderedSemigroup, a: int, m: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class PowerProfile:
-    index: int  # least i with a^i inside the eventual cycle
-    period: int
-    powers: Mask  # all distinct values a^1, a^2, ...
-
-
-def power_profile(S: OrderedSemigroup, a: int) -> PowerProfile:
-    table = S.table
-    seen: dict[int, int] = {}
-    x, pos = a, 1
-    while x not in seen:
-        seen[x] = pos
-        x = table[x][a]
-        pos += 1
-    first = seen[x]
-    return PowerProfile(index=first, period=pos - first, powers=mask_of(seen))
-
-
 @derived
 def _powers(S: OrderedSemigroup) -> tuple[tuple[int, ...], ...]:
     """powers[a][m-1] = a^m for m in 1..n.  Every distinct power occurs here."""
@@ -311,6 +292,19 @@ def _powers(S: OrderedSemigroup) -> tuple[tuple[int, ...], ...]:
             vals.append(x)
         rows.append(tuple(vals))
     return tuple(rows)
+
+
+def _least_power_in(S: OrderedSemigroup, mask: Mask) -> tuple[int | None, ...]:
+    """Per element a, the least m in 1..n with a^m in mask, or None."""
+    out: list[int | None] = []
+    for powers in _powers(S):
+        w = None
+        for m, p in enumerate(powers, start=1):
+            if mask >> p & 1:
+                w = m
+                break
+        out.append(w)
+    return tuple(out)
 
 
 @derived
@@ -356,31 +350,6 @@ def _SaS(S: OrderedSemigroup) -> tuple[Mask, ...]:
             m |= asv[u]
         rows.append(m)
     return tuple(rows)
-
-
-# ---------------------------------------------------------------------------
-# adjoined identity
-
-
-@dataclass(frozen=True)
-class MonoidExtension:
-    """S with an identity adjoined; the identity is comparable only to itself."""
-
-    base: OrderedSemigroup
-    structure: OrderedSemigroup
-    identity: int
-
-
-def adjoin_identity(S: OrderedSemigroup) -> MonoidExtension:
-    n = S.n
-    rows = [row + (i,) for i, row in enumerate(S.table)]
-    rows.append(tuple(range(n)) + (n,))
-    down = S.down + (1 << n,)
-    ext = OrderedSemigroup(n + 1, tuple(rows), down)
-    return MonoidExtension(base=S, structure=ext, identity=n)
-
-
-_monoid_extension = derived(adjoin_identity)
 
 
 # ---------------------------------------------------------------------------

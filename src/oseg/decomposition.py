@@ -18,6 +18,7 @@ from .core import (
     Mask,
     OrderedSemigroup,
     OrderTooLargeError,
+    _least_power_in,
     derived,
     downset,
     mask_of,
@@ -258,17 +259,8 @@ def is_nil_extension(S: OrderedSemigroup, K: Mask) -> NilExtension:
     """K is a two-sided ideal and every element has a power inside it."""
     if K == 0 or not is_ideal(S, K, "two-sided"):
         return NilExtension(False, None)
-    exps: list[int | None] = []
-    for a in range(S.n):
-        w = None
-        x = a
-        for m in range(1, S.n + 1):
-            if K >> x & 1:
-                w = m
-                break
-            x = S.table[x][a]
-        exps.append(w)
-    return NilExtension(all(w is not None for w in exps), tuple(exps))
+    exps = _least_power_in(S, K)
+    return NilExtension(None not in exps, exps)
 
 
 @dataclass(frozen=True)

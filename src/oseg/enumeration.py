@@ -258,7 +258,8 @@ class EnumerationCursor:
     @staticmethod
     def from_json(text: str) -> "EnumerationCursor":
         """Parse a checkpoint; ValueError unless it is well typed, within
-        the order cap, and holds an associative table of that order."""
+        the order cap, and holds an associative table of that order with
+        orders_done within its number of compatible orders."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("checkpoint must be a JSON object")
@@ -290,6 +291,11 @@ class EnumerationCursor:
             raise ValueError("prefix-stack table is not associative")
         if type(orders_done) is not int or orders_done < 1:
             raise ValueError(f"orders_done must be an integer >= 1, got {orders_done!r}")
+        total = sum(1 for _ in enumerate_compatible_orders(t))
+        if orders_done > total:
+            raise ValueError(
+                f"orders_done {orders_done} exceeds the {total} compatible orders of its table"
+            )
         return EnumerationCursor(order, dedup, tuple(table), orders_done, emitted)
 
 

@@ -16,17 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    Mask,
-    OrderedSemigroup,
-    _aSa,
-    _powers,
-    _SaS,
-    derived,
-    downset,
-    full_mask,
-)
-from .relations import green
+from .core import Mask, OrderedSemigroup, _least_power_in, derived, full_mask
+from .relations import _archimedean_targets, _regular_mask, green
 
 
 @dataclass(frozen=True)
@@ -37,36 +28,18 @@ class RegularityProfile:
 
 
 @derived
-def _regular_mask(S: OrderedSemigroup) -> Mask:
-    m = 0
-    for a, asa in enumerate(_aSa(S)):
-        if downset(S, asa) >> a & 1:
-            m |= 1 << a
-    return m
-
-
-@derived
 def regularity_profile(S: OrderedSemigroup) -> RegularityProfile:
-    n = S.n
+    n, table = S.n, S.table
     reg = _regular_mask(S)
-    table = S.table
-    sas_down = tuple(downset(S, m) for m in _SaS(S))
-    pi: list[int | None] = []
-    intra: list[int | None] = []
-    for a in range(n):
-        powers = _powers(S)[a]
-        pi.append(next((m for m in range(1, n + 1) if reg >> powers[m - 1] & 1), None))
-        w = None
-        for m in range(1, n + 1):
-            p = powers[m - 1]
-            if sas_down[table[p][p]] >> p & 1:  # a^2m = (a^m)^2
-                w = m
-                break
-        intra.append(w)
+    sas_down = _archimedean_targets(S, "two-sided")
+    intra = 0  # p in (S p^2 S]; with p = a^m, p^2 = a^2m
+    for p in range(n):
+        if sas_down[table[p][p]] >> p & 1:
+            intra |= 1 << p
     return RegularityProfile(
         is_regular=tuple(reg >> a & 1 == 1 for a in range(n)),
-        pi_witness=tuple(pi),
-        intra_witness=tuple(intra),
+        pi_witness=_least_power_in(S, reg),
+        intra_witness=_least_power_in(S, intra),
     )
 
 
@@ -131,17 +104,13 @@ def _pairwise_related(rows: tuple[Mask, ...], subset: Mask) -> bool:
 
 
 @derived
-def _rv_mask(S: OrderedSemigroup, include_irregular: bool) -> Mask:
-    rows = green(S, "R").rows
-    vinv = _inverse_vector(S)
+def _agree_mask(S: OrderedSemigroup, which: str, include_irregular: bool) -> Mask:
+    """The a with V(a) nonempty and pairwise related by the Green relation
+    ``which``; include_irregular also admits every a with V(a) empty."""
+    rows = green(S, which).rows
     m = 0
-    for a in range(S.n):
-        v = vinv[a]
-        if v == 0:
-            if include_irregular:
-                m |= 1 << a
-            continue
-        if _pairwise_related(rows, v):
+    for a, v in enumerate(_inverse_vector(S)):
+        if _pairwise_related(rows, v) if v else include_irregular:
             m |= 1 << a
     return m
 
@@ -150,25 +119,8 @@ def _rv_mask(S: OrderedSemigroup, include_irregular: bool) -> Mask:
 def _pi_agree_witness(
     S: OrderedSemigroup, which: str, include_irregular: bool
 ) -> tuple[int | None, ...]:
-    """Per element: least m with V(a^m) nonempty and pairwise related by
-    the Green relation ``which``."""
-    rows = green(S, which).rows
-    vinv = _inverse_vector(S)
-    out: list[int | None] = []
-    for a in range(S.n):
-        w = None
-        for m, p in enumerate(_powers(S)[a], start=1):
-            v = vinv[p]
-            if v == 0:
-                if include_irregular:
-                    w = m
-                    break
-                continue
-            if _pairwise_related(rows, v):
-                w = m
-                break
-        out.append(w)
-    return tuple(out)
+    """Per element: least m with a^m in _agree_mask."""
+    return _least_power_in(S, _agree_mask(S, which, include_irregular))
 
 
 def _witness_mask(witness: tuple[int | None, ...]) -> Mask:
@@ -181,7 +133,7 @@ def _witness_mask(witness: tuple[int | None, ...]) -> Mask:
 
 def rv_set(S: OrderedSemigroup, include_irregular: bool = False) -> Mask:
     """Elements whose ordered inverses are pairwise R-related."""
-    return _rv_mask(S, include_irregular)
+    return _agree_mask(S, "R", include_irregular)
 
 
 def pi_rv_set(S: OrderedSemigroup, include_irregular: bool = False) -> Mask:

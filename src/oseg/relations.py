@@ -1,4 +1,4 @@
-"""Green's relations, their starred variants, divisibility, Archimedean tests."""
+"""Green's relations, their starred variants, divisibility, Archimedean tests, regular elements."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from .core import (
     OrderedSemigroup,
     _aS,
     _aSa,
-    _monoid_extension,
     _power_masks,
     _powers,
     _Sa,
@@ -18,7 +17,6 @@ from .core import (
     downset,
     full_mask,
     members,
-    subset_product,
 )
 from .ideals import _principal_vector
 
@@ -83,9 +81,7 @@ def _star_reps(S: OrderedSemigroup) -> tuple[int, ...]:
     Some power of every element of a finite structure is idempotent,
     hence regular, so every element has one.
     """
-    from .regularity import regular_elements
-
-    reg = regular_elements(S)
+    reg = _regular_mask(S)
     return tuple(next(p for p in powers if reg >> p & 1) for powers in _powers(S))
 
 
@@ -105,21 +101,10 @@ def green_star(S: OrderedSemigroup, which: str) -> EquivalenceRelation:
     return EquivalenceRelation(which, rows)
 
 
-@derived
-def _divisor_rows(S: OrderedSemigroup) -> tuple[Mask, ...]:
-    """rows[a] = mask of b with a | b, decided inside the monoid extension."""
-    ext = _monoid_extension(S).structure
-    full_ext = full_mask(ext.n)
-    rows = []
-    for a in range(S.n):
-        xay = subset_product(ext, subset_product(ext, full_ext, 1 << a), full_ext)
-        rows.append(downset(ext, xay) & full_mask(S.n))
-    return tuple(rows)
-
-
 def divides(S: OrderedSemigroup, a: int, b: int) -> bool:
-    """a | b: b <= x*a*y for some x, y in S with identity adjoined."""
-    return _divisor_rows(S)[a] >> b & 1 == 1
+    """a | b: b <= x*a*y for some x, y in S with identity adjoined, that is,
+    b lies in the principal two-sided ideal (a u Sa u aS u SaS] of a."""
+    return _principal_vector(S, "two-sided")[a] >> b & 1 == 1
 
 
 @derived
@@ -135,6 +120,16 @@ def _archimedean_targets(S: OrderedSemigroup, flavor: str) -> tuple[Mask, ...]:
     else:
         raise ValueError(f"unknown Archimedean flavor {flavor!r}")
     return tuple(downset(S, m) for m in vec)
+
+
+@derived
+def _regular_mask(S: OrderedSemigroup) -> Mask:
+    """The regular elements: a in (aSa]."""
+    m = 0
+    for a, asa in enumerate(_archimedean_targets(S, "t")):
+        if asa >> a & 1:
+            m |= 1 << a
+    return m
 
 
 @derived

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import ideals
-from .core import Mask, OrderedSemigroup, _SaS, downset, iter_mask, members
+from .core import Mask, OrderedSemigroup, _SaS, downset, iter_mask, mask_of, members
 from .decomposition import (
     MAX_PARTITION_ORDER,
     TypePredicate,
@@ -184,15 +184,33 @@ def _eval_thm_500(S: OrderedSemigroup):
     return conditions, verdict, witnesses, violation
 
 
+def _raw_right_pi_inverse(S: OrderedSemigroup) -> bool:
+    """Some power p of every element has V(p) nonempty and pairwise
+    R-related, from the table and the order alone: V(p) by definition,
+    R by comparing the right ideals (b u bS].
+
+    Reading pi_rv_witness here would compare condition (i) with itself.
+    """
+    n, table, down = S.n, S.table, S.down
+    right = [downset(S, 1 << b | mask_of(table[b])) for b in range(n)]
+    agree = 0
+    for p in range(n):
+        inv = [
+            b
+            for b in range(n)
+            if down[table[table[p][b]][p]] >> p & 1 and down[table[table[b][p]][b]] >> b & 1
+        ]
+        if inv and all(right[b] == right[inv[0]] for b in inv):
+            agree |= 1 << p
+    return all(powers & agree for powers in _raw_power_masks(S))
+
+
 def _eval_thm_15(S: OrderedSemigroup):
-    rpi = is_right_pi_inverse(S)
-    witness = pi_rv_witness(S)
-    power_cond = all(w is not None for w in witness)
     conditions = {
-        "i_right_pi_inverse": rpi,
-        "ii_some_power_has_r_related_inverses": power_cond,
+        "i_right_pi_inverse": is_right_pi_inverse(S),
+        "ii_some_power_has_r_related_inverses": _raw_right_pi_inverse(S),
     }
-    witnesses = {"exponents": list(witness)}
+    witnesses = {"exponents": list(pi_rv_witness(S))}
     verdict, violation = _equiv_verdict(conditions)
     return conditions, verdict, witnesses, violation
 

@@ -111,6 +111,19 @@ def oracle_power_values(table, a) -> set:
     return seen
 
 
+def oracle_divides(table, leq, a, b) -> bool:
+    """a | b: b <= x*a*y for some x, y in S u {1}.
+
+    None stands for the adjoined identity, so no extended table is built.
+    """
+
+    def mul(x, y):
+        return y if x is None else x if y is None else table[x][y]
+
+    s1 = [None, *range(len(table))]
+    return any(leq[b][mul(mul(x, a), y)] for x in s1 for y in s1)
+
+
 def oracle_is_ideal(table, leq, A, kind) -> bool:
     n = len(table)
     if not A:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
+from oseg import cli
 from oseg.cli import main
 from oseg.core import canonical_json, parse_structure
 from oseg.fixtures import LZ2, N2, RZ2
@@ -170,6 +172,7 @@ class TestEnumerate:
             _cursor(prefix=_prefix([1, 1, 1] + [0] * 6)),  # (0*0)*0 = 0, 0*(0*0) = 1
             _cursor(prefix=_prefix([0] * 9, orders_done=0)),
             _cursor(prefix=_prefix([0] * 9, orders_done=1.5)),
+            _cursor(prefix=_prefix([0] * 9, orders_done=1000000)),  # the table has 19 orders
         ],
     )
     def test_malformed_checkpoint_exit_2(self, capsys, tmp_path, cursor):
@@ -180,6 +183,38 @@ class TestEnumerate:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("invalid checkpoint: ")
+
+    def test_resume_after_last_order_of_a_table(self, capsys, tmp_path):
+        ck_path = tmp_path / "cursor.json"
+        cursor = _cursor(prefix=_prefix([0] * 9, orders_done=19), emitted=19)
+        ck_path.write_text(json.dumps(cursor))
+        code, resumed = run(capsys, "enumerate", "--order", "3", "--checkpoint", str(ck_path))
+        _, full = run(capsys, "enumerate", "--order", "3")
+        assert code == 0
+        assert resumed.splitlines() == full.splitlines()[19:]
+
+    def test_checkpoint_never_ahead_of_out(self, capsys, tmp_path, monkeypatch):
+        """Each checkpoint lands by atomic rename once --out holds every line
+        it counts."""
+        out_path = tmp_path / "structures.jsonl"
+        ck_path = tmp_path / "cursor.json"
+        seen = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            emitted = json.loads(open(src, encoding="utf-8").read())["emitted"]
+            seen.append((emitted, len(out_path.read_text().splitlines())))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 5)
+        monkeypatch.setattr(cli.os, "replace", replace)
+        code, _ = run(
+            capsys, "enumerate", "--order", "2",
+            "--out", str(out_path), "--checkpoint", str(ck_path),
+        )
+        assert code == 0
+        assert seen == [(5, 5), (10, 10), (15, 15), (20, 20), (20, 20)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cursor.json", "structures.jsonl"]
 
 
 class TestVerify:

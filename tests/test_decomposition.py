@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import mask_set, oracle_nil_extension, structure_tables
+from conftest import (
+    mask_set,
+    oracle_is_ideal,
+    oracle_nil_extension,
+    oracle_power,
+    structure_tables,
+)
 from oseg.core import full_mask, mask_of
 from oseg.decomposition import (
     MAX_PARTITION_ORDER,
@@ -67,6 +73,22 @@ class TestNilExtension:
                 assert is_nil_extension(S, m).ok == oracle_nil_extension(
                     table, leq, mask_set(m)
                 )
+
+    def test_exponents_least_power_in_ideal(self, corpus3):
+        """exponents[a] is the least m with a^m in K, for every ideal K."""
+        for S in corpus3:
+            table, leq = structure_tables(S)
+            for K in range(1, 1 << S.n):
+                if not oracle_is_ideal(table, leq, mask_set(K), "two-sided"):
+                    continue
+                expected = tuple(
+                    next(
+                        (m for m in range(1, S.n + 1) if K >> oracle_power(table, a, m) & 1),
+                        None,
+                    )
+                    for a in range(S.n)
+                )
+                assert is_nil_extension(S, K).exponents == expected
 
 
 class TestNilExtensionOfType:

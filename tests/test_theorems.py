@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from oseg.core import canonical_json
+from oseg.core import OrderedSemigroup, canonical_json
 from oseg.enumeration import enumerate_ordered_semigroups
 from oseg.fixtures import FIXTURES, LZ2, N2, RZ2, SL2, T1
 from oseg.theorems import (
@@ -146,6 +146,24 @@ class TestFixtureFacts:
         bundle = report_bundle(big)
         assert "skipped" in bundle["theorems"]["lem-cao"]
         assert bundle["theorems"]["thm-1005"]["verdict"] == "consistent"
+
+
+class TestIndependentSides:
+    def test_thm_15_catches_a_broken_witness(self, monkeypatch):
+        """Condition ii of thm-15 does not read the pi-agreement witness, so
+        a witness that finds nothing must surface as a counterexample."""
+        import oseg.regularity
+
+        monkeypatch.setattr(
+            oseg.regularity, "_pi_agree_witness", lambda S, which, irregular: (None,) * S.n
+        )
+        fresh = OrderedSemigroup(T1.n, T1.table, T1.down)
+        rep = check(fresh, "thm-15")
+        assert rep.verdict == "COUNTEREXAMPLE"
+        assert rep.conditions == {
+            "i_right_pi_inverse": False,
+            "ii_some_power_has_r_related_inverses": True,
+        }
 
 
 class TestExhaustiveConsistency:
