@@ -15,7 +15,8 @@ import json
 import multiprocessing
 import os
 import sys
-from itertools import product
+from dataclasses import replace
+from itertools import islice, product
 
 from . import theorems
 from .core import (
@@ -116,10 +117,7 @@ def _build_parser() -> _ArgumentParser:
 def _cmd_validate(args, out) -> int:
     try:
         load_structure(args.file)
-    except OSError as e:
-        print(f"invalid: {e}", file=out)
-        return 2
-    except StructureFormatError as e:
+    except (OSError, StructureFormatError) as e:
         print(f"invalid: {e}", file=out)
         return 2
     except InvalidStructureError as e:
@@ -191,9 +189,15 @@ def _cmd_analyze(args, out) -> int:
 # enumerate
 
 
+def _check_limit(args) -> None:
+    if args.limit is not None and args.limit < 0:
+        raise UsageError("--limit must be >= 0")
+
+
 def _cmd_enumerate(args, out) -> int:
     if args.order < 1:
         raise UsageError("--order must be >= 1")
+    _check_limit(args)
     cursor = None
     resuming = False
     if args.checkpoint and os.path.exists(args.checkpoint):
@@ -206,6 +210,11 @@ def _cmd_enumerate(args, out) -> int:
         if cursor.order != args.order or cursor.dedup != args.dedup:
             print("invalid checkpoint: order/dedup mismatch", file=sys.stderr)
             return 2
+        if args.out and cursor.out_bytes is not None:
+            size = os.path.getsize(args.out) if os.path.exists(args.out) else 0
+            if size < cursor.out_bytes:
+                print(f"invalid checkpoint: --out is under {cursor.out_bytes} bytes", file=sys.stderr)
+                return 2
         resuming = True
     try:
         stream = enumerate_ordered_semigroups(args.order, dedup=args.dedup, cursor=cursor)
@@ -218,30 +227,31 @@ def _cmd_enumerate(args, out) -> int:
     if args.out:
         sink = open(args.out, "a" if resuming else "w", encoding="utf-8")
         close_sink = True
+        if resuming and cursor.out_bytes is not None:
+            sink.truncate(cursor.out_bytes)  # lines past the cursor come again
 
     def save_checkpoint():
         """Make --out durable, then swap the new cursor in atomically, so a
-        kill leaves the previous checkpoint or this one, never a torn file."""
+        kill leaves the previous checkpoint or this one, never a torn file.
+        The cursor records the length of --out that it accounts for."""
         if not args.checkpoint:
             return
         sink.flush()
+        current = stream.cursor
         if args.out:
             os.fsync(sink.fileno())
+            current = replace(current, out_bytes=os.fstat(sink.fileno()).st_size)
         tmp = args.checkpoint + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(stream.cursor.to_json() + "\n")
+            fh.write(current.to_json() + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, args.checkpoint)
     try:
-        emitted = 0
-        for S in stream:
+        for emitted, S in enumerate(islice(stream, args.limit), start=1):
             print(canonical_json(S), file=sink)
-            emitted += 1
             if emitted % CHECKPOINT_EVERY == 0:
                 save_checkpoint()
-            if args.limit is not None and emitted >= args.limit:
-                break
         save_checkpoint()
     finally:
         if close_sink:
@@ -257,10 +267,13 @@ def _fresh_acc(ids):
     return {tid: {"checked": 0, "skipped": 0, "cex": [], "mismatch": []} for tid in ids}
 
 
-def _run_catalog(n, dedup, ids, first_row=None, limit=None):
+def _run_catalog(task):
+    """(count, tallies) of the ids over one (order, dedup, ids, first_row, limit) run."""
+    n, dedup, ids, first_row, limit = task
     acc = _fresh_acc(ids)
     count = 0
-    for S in enumerate_ordered_semigroups(n, dedup=dedup, first_row=first_row):
+    stream = enumerate_ordered_semigroups(n, dedup=dedup, first_row=first_row)
+    for S in islice(stream, limit):
         count += 1
         for tid in ids:
             if theorems.precondition_unmet(S, tid) is not None:
@@ -274,29 +287,7 @@ def _run_catalog(n, dedup, ids, first_row=None, limit=None):
                     json.dumps(report.to_json_dict(), sort_keys=True),
                 )
                 acc[tid]["mismatch" if report.adapted else "cex"].append(entry)
-        if limit is not None and count >= limit:
-            break
     return count, acc
-
-
-def _merge(acc, part):
-    """Add the per-theorem tallies of part into acc."""
-    for tid, a in acc.items():
-        for key in ("checked", "skipped"):
-            a[key] += part[tid][key]
-        for key in ("cex", "mismatch"):
-            a[key].extend(part[tid][key])
-
-
-def _verify_worker(task):
-    n, dedup, ids, rows = task
-    total = 0
-    merged = _fresh_acc(ids)
-    for row in rows:
-        count, acc = _run_catalog(n, dedup, ids, first_row=row)
-        total += count
-        _merge(merged, acc)
-    return total, merged
 
 
 def _cmd_verify(args, out) -> int:
@@ -308,6 +299,7 @@ def _cmd_verify(args, out) -> int:
         ids = [args.theorem]
     else:
         ids = theorems.theorem_ids()
+    _check_limit(args)
     jobs = max(1, args.jobs)
     if args.limit is not None:
         jobs = 1
@@ -317,20 +309,25 @@ def _cmd_verify(args, out) -> int:
         return 2
 
     if jobs == 1:
-        total, acc = _run_catalog(args.order, args.dedup, ids, limit=args.limit)
+        results = [_run_catalog((args.order, args.dedup, ids, None, args.limit))]
     else:
-        rows = list(product(range(args.order), repeat=args.order))
-        chunks = [rows[i::jobs] for i in range(jobs) if rows[i::jobs]]
+        # one task per first row, so a slow row holds up one worker only
+        tasks = [
+            (args.order, args.dedup, ids, row, None)
+            for row in product(range(args.order), repeat=args.order)
+        ]
         ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(len(chunks)) as pool:
-            results = pool.map(
-                _verify_worker, [(args.order, args.dedup, ids, chunk) for chunk in chunks]
-            )
-        total = 0
-        acc = _fresh_acc(ids)
-        for count, part in results:
-            total += count
-            _merge(acc, part)
+        with ctx.Pool(min(jobs, len(tasks))) as pool:
+            results = list(pool.imap(_run_catalog, tasks))
+    total = 0
+    acc = _fresh_acc(ids)
+    for count, part in results:
+        total += count
+        for tid, a in acc.items():
+            for key in ("checked", "skipped"):
+                a[key] += part[tid][key]
+            for key in ("cex", "mismatch"):
+                a[key].extend(part[tid][key])
 
     print(f"verify order={args.order} dedup={args.dedup}", file=out)
     if args.limit is not None:

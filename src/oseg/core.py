@@ -424,11 +424,14 @@ def from_json_dict(obj: object) -> OrderedSemigroup:
 def parse_structure(text: str) -> OrderedSemigroup:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise StructureFormatError(f"not valid JSON: {e}") from None
     return from_json_dict(obj)
 
 
 def load_structure(path: str) -> OrderedSemigroup:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_structure(fh.read())
+        try:
+            return parse_structure(fh.read())
+        except UnicodeDecodeError as e:
+            raise StructureFormatError(f"not valid UTF-8: {e}") from None

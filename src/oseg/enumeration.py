@@ -10,7 +10,8 @@ The combined stream is resumable: a cursor records the last emitted
 table, how many of its orders were already consumed, and the emission
 count.  Checkpoint files serialize the cursor as JSON with the keys
 order, dedup, prefix-stack, emitted, where prefix-stack is null or
-{"table": [flat cells], "orders_done": k}.
+{"table": [flat cells], "orders_done": k}, and the optional out-bytes,
+the length of the output file that holds exactly the emitted structures.
 """
 
 from __future__ import annotations
@@ -240,17 +241,21 @@ class EnumerationCursor:
     table: tuple[int, ...] | None  # flat cells of the last emitted table
     orders_done: int  # orders consumed for that table at emission time
     emitted: int
+    out_bytes: int | None = None  # output file length at this cursor, if known
 
     def to_json_dict(self) -> dict:
         prefix = None
         if self.table is not None:
             prefix = {"table": list(self.table), "orders_done": self.orders_done}
-        return {
+        obj = {
             "order": self.order,
             "dedup": self.dedup,
             "prefix-stack": prefix,
             "emitted": self.emitted,
         }
+        if self.out_bytes is not None:
+            obj["out-bytes"] = self.out_bytes
+        return obj
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
@@ -259,8 +264,12 @@ class EnumerationCursor:
     def from_json(text: str) -> "EnumerationCursor":
         """Parse a checkpoint; ValueError unless it is well typed, within
         the order cap, and holds an associative table of that order with
-        orders_done within its number of compatible orders."""
-        obj = json.loads(text)
+        orders_done within its number of compatible orders.  out-bytes may
+        be absent (older checkpoints), else it is an integer >= 0."""
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("checkpoint is nested too deeply") from None
         if not isinstance(obj, dict):
             raise ValueError("checkpoint must be a JSON object")
         try:
@@ -276,8 +285,11 @@ class EnumerationCursor:
             raise ValueError(f"dedup must be one of {DEDUP_MODES}, got {dedup!r}")
         if type(emitted) is not int or emitted < 0:
             raise ValueError(f"emitted must be an integer >= 0, got {emitted!r}")
+        out_bytes = obj.get("out-bytes")
+        if "out-bytes" in obj and (type(out_bytes) is not int or out_bytes < 0):
+            raise ValueError(f"out-bytes must be an integer >= 0, got {out_bytes!r}")
         if prefix is None:
-            return EnumerationCursor(order, dedup, None, 0, emitted)
+            return EnumerationCursor(order, dedup, None, 0, emitted, out_bytes)
         if not isinstance(prefix, dict) or not {"table", "orders_done"} <= prefix.keys():
             raise ValueError('prefix-stack must be null or {"table": [...], "orders_done": k}')
         n, table, orders_done = order, prefix["table"], prefix["orders_done"]
@@ -296,7 +308,7 @@ class EnumerationCursor:
             raise ValueError(
                 f"orders_done {orders_done} exceeds the {total} compatible orders of its table"
             )
-        return EnumerationCursor(order, dedup, tuple(table), orders_done, emitted)
+        return EnumerationCursor(order, dedup, tuple(table), orders_done, emitted, out_bytes)
 
 
 class StructureStream:

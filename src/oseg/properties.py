@@ -17,6 +17,7 @@ parse(print(e)) == e for every tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Union
 
 from . import ideals, regularity, relations
@@ -102,11 +103,16 @@ _PARAMETRIC = ("nil-ext-of", "csl-of")
 
 _WORD_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789-")
 
+#: nesting cap for '!' and parentheses: printing and evaluation take a
+#: few stack frames per level, so deeper input is refused while parsing
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -152,6 +158,14 @@ class _Parser:
         return args[0] if len(args) == 1 else And(tuple(args))
 
     def _unary(self) -> Expr:
+        if self.depth > MAX_DEPTH:  # the '!' and '(' around this operand
+            raise ParseError(self.pos, f"at most {MAX_DEPTH} nested '!' or '('")
+        self.depth += 1
+        e = self._term()
+        self.depth -= 1
+        return e
+
+    def _term(self) -> Expr:
         ch = self._peek()
         if ch == "!":
             self.pos += 1
@@ -229,14 +243,18 @@ def evaluate(S: OrderedSemigroup, e: Expr) -> bool:
     if isinstance(e, Or):
         return any(evaluate(S, a) for a in e.args)
     if isinstance(e, NilExtOf):
-        tau = TypePredicate(to_text(e.arg), lambda sub: evaluate(sub, e.arg))
-        return nil_extension_of_type(S, tau).found
+        return nil_extension_of_type(S, type_of(e.arg)).found
     if isinstance(e, CslOf):
-        tau = TypePredicate(to_text(e.arg), lambda sub: evaluate(sub, e.arg))
-        result = is_complete_semilattice_of(S, tau)
+        result = is_complete_semilattice_of(S, type_of(e.arg))
         if result.mode == "least-congruence-only":
             # a negative from the least congruence alone is not an answer;
             # this mode means S.n is over the cap, so the check raises
             _check_order(S.n)
         return result.holds
     raise TypeError(f"not a property expression: {e!r}")
+
+
+@cache
+def type_of(e: Expr) -> TypePredicate:
+    """The expression as a type predicate named by its text; one per tree."""
+    return TypePredicate(to_text(e), lambda S: evaluate(S, e))

@@ -29,6 +29,7 @@ from .decomposition import (
     nil_extension_ideal_exists,
     nil_extension_of_type,
 )
+from .properties import parse_property_expr, type_of
 from .regularity import (
     _pairwise_related,
     is_pi_inverse,
@@ -106,48 +107,33 @@ def _raw_power_masks(S: OrderedSemigroup) -> list[Mask]:
     return pow_masks
 
 
-def _tau(name: str, *checks: Callable[[OrderedSemigroup], bool]) -> TypePredicate:
-    return TypePredicate(name, lambda sub: all(c(sub) for c in checks))
+def _type(text: str) -> TypePredicate:
+    """The type a search --where expression names, e.g. "simple & pi-inverse"."""
+    return type_of(parse_property_expr(text))
 
 
-_left_simple = lambda S: ideals.is_simple(S, "left")
-_t_simple = lambda S: ideals.is_simple(S, "t")
-_simple = lambda S: ideals.is_simple(S, "two-sided")
-
-TAU_LEFT_SIMPLE_RPI = _tau("left-simple & right-pi-inverse", _left_simple, is_right_pi_inverse)
-TAU_T_SIMPLE_RPI = _tau("t-simple & right-pi-inverse", _t_simple, is_right_pi_inverse)
-TAU_SIMPLE_RPI = _tau("simple & right-pi-inverse", _simple, is_right_pi_inverse)
-TAU_LEFT_SIMPLE_PI_INV = _tau("left-simple & pi-inverse", _left_simple, is_pi_inverse)
-TAU_T_SIMPLE_PI_INV = _tau("t-simple & pi-inverse", _t_simple, is_pi_inverse)
-TAU_SIMPLE_PI_INV = _tau("simple & pi-inverse", _simple, is_pi_inverse)
-TAU_T_SIMPLE = _tau("t-simple", _t_simple)
-TAU_SIMPLE = _tau("simple", _simple)
-TAU_LEFT_SIMPLE = _tau("left-simple", _left_simple)
-TAU_RIGHT_INVERSE = _tau("right-inverse", is_right_inverse)
-TAU_ARCHIMEDEAN = _tau("archimedean", lambda S: is_archimedean(S, "two-sided"))
-TAU_L_ARCHIMEDEAN = _tau("l-archimedean", lambda S: is_archimedean(S, "l"))
-
-TAU_NE_SIMPLE_RPI = TypePredicate(
-    "nil-ext-of(simple & right-pi-inverse)",
-    lambda S: nil_extension_of_type(S, TAU_SIMPLE_RPI).found,
-)
-TAU_NE_SIMPLE = TypePredicate(
-    "nil-ext-of(simple)", lambda S: nil_extension_of_type(S, TAU_SIMPLE).found
-)
-TAU_NE_LEFT_SIMPLE_RPI = TypePredicate(
-    "nil-ext-of(left-simple & right-pi-inverse)",
-    lambda S: nil_extension_of_type(S, TAU_LEFT_SIMPLE_RPI).found,
-)
-TAU_NE_LEFT_SIMPLE = TypePredicate(
-    "nil-ext-of(left-simple)", lambda S: nil_extension_of_type(S, TAU_LEFT_SIMPLE).found
-)
+TAU_LEFT_SIMPLE_RPI = _type("left-simple & right-pi-inverse")
+TAU_T_SIMPLE_RPI = _type("t-simple & right-pi-inverse")
+TAU_SIMPLE_RPI = _type("simple & right-pi-inverse")
+TAU_LEFT_SIMPLE_PI_INV = _type("left-simple & pi-inverse")
+TAU_T_SIMPLE_PI_INV = _type("t-simple & pi-inverse")
+TAU_SIMPLE_PI_INV = _type("simple & pi-inverse")
+TAU_T_SIMPLE = _type("t-simple")
+TAU_SIMPLE = _type("simple")
+TAU_LEFT_SIMPLE = _type("left-simple")
+TAU_RIGHT_INVERSE = _type("right-inverse")
+TAU_ARCHIMEDEAN = _type("archimedean")
+TAU_L_ARCHIMEDEAN = _type("l-archimedean")
+TAU_NE_SIMPLE_RPI = _type("nil-ext-of(simple & right-pi-inverse)")
+TAU_NE_SIMPLE = _type("nil-ext-of(simple)")
+TAU_NE_LEFT_SIMPLE_RPI = _type("nil-ext-of(left-simple & right-pi-inverse)")
+TAU_NE_LEFT_SIMPLE = _type("nil-ext-of(left-simple)")
 
 
-def _equiv_verdict(conditions: dict[str, bool]):
-    values = set(conditions.values())
-    if len(values) == 1:
-        return "consistent", None
-    return "COUNTEREXAMPLE", {
+def _equiv_violation(conditions: dict[str, bool]) -> dict | None:
+    if len(set(conditions.values())) == 1:
+        return None
+    return {
         "shape": "all-equivalent",
         "true": sorted(k for k, v in conditions.items() if v),
         "false": sorted(k for k, v in conditions.items() if not v),
@@ -179,9 +165,8 @@ def _eval_thm_500(S: OrderedSemigroup):
     witnesses: dict[str, object] = {"ordered_idempotents": members(E)}
     if rpi:
         witnesses["right_pi_inverse_exponents"] = list(pi_rv_witness(S))
-    verdict = "consistent" if rpi == impl else "COUNTEREXAMPLE"
     violation = None if rpi == impl else {"shape": "equivalence", "conditions": conditions}
-    return conditions, verdict, witnesses, violation
+    return conditions, witnesses, violation
 
 
 def _raw_right_pi_inverse(S: OrderedSemigroup) -> bool:
@@ -211,8 +196,7 @@ def _eval_thm_15(S: OrderedSemigroup):
         "ii_some_power_has_r_related_inverses": _raw_right_pi_inverse(S),
     }
     witnesses = {"exponents": list(pi_rv_witness(S))}
-    verdict, violation = _equiv_verdict(conditions)
-    return conditions, verdict, witnesses, violation
+    return conditions, witnesses, _equiv_violation(conditions)
 
 
 def _eval_thm_74(S: OrderedSemigroup):
@@ -236,8 +220,7 @@ def _eval_thm_74(S: OrderedSemigroup):
         "viii": _nilext_witness(ne_t),
         "ordered_idempotents": members(E),
     }
-    verdict, violation = _equiv_verdict(conditions)
-    return conditions, verdict, witnesses, violation
+    return conditions, witnesses, _equiv_violation(conditions)
 
 
 def _eval_cor_76(S: OrderedSemigroup):
@@ -249,8 +232,7 @@ def _eval_cor_76(S: OrderedSemigroup):
         "ii_pi_inverse_and_idempotents_jstar": pinv and _pairwise_related(green_star(S, "J*").rows, E),
     }
     witnesses = {"i": _nilext_witness(ne), "ordered_idempotents": members(E)}
-    verdict, violation = _equiv_verdict(conditions)
-    return conditions, verdict, witnesses, violation
+    return conditions, witnesses, _equiv_violation(conditions)
 
 
 def _eval_lem_cao(S: OrderedSemigroup):
@@ -267,9 +249,8 @@ def _eval_lem_cao(S: OrderedSemigroup):
         conditions[key + ".ii_every_power_lands"] = lands
         if nil != lands:
             bad.append(members(K))
-    verdict = "consistent" if not bad else "COUNTEREXAMPLE"
     violation = None if not bad else {"shape": "per-ideal equivalence", "ideals": bad}
-    return conditions, verdict, {}, violation
+    return conditions, {}, violation
 
 
 def _eval_lem_ne51(S: OrderedSemigroup):
@@ -289,8 +270,7 @@ def _eval_lem_ne51(S: OrderedSemigroup):
     )
     conditions = {"i_square_divides": cond_i, "ii_product_divides": cond_ii}
     witnesses = {"rv_set": members(rv)}
-    verdict, violation = _equiv_verdict(conditions)
-    return conditions, verdict, witnesses, violation
+    return conditions, witnesses, _equiv_violation(conditions)
 
 
 def _eval_thm_ne511(S: OrderedSemigroup):
@@ -317,9 +297,8 @@ def _eval_thm_ne511(S: OrderedSemigroup):
         conditions[key + ".iii_all_classes_right_pi_inverse"] = all_rpi
         if union_rv != rv_s or all_ri != s_ri or all_rpi != s_rpi:
             failures.append({"congruence": p.classes_as_lists(), "rv_union": members(union_rv)})
-    verdict = "consistent" if not failures else "COUNTEREXAMPLE"
     violation = None if not failures else {"shape": "per-congruence", "failures": failures}
-    return conditions, verdict, {"rv_set": members(rv_s)}, violation
+    return conditions, {"rv_set": members(rv_s)}, violation
 
 
 def _eval_lem_ne53(S: OrderedSemigroup):
@@ -338,9 +317,8 @@ def _eval_lem_ne53(S: OrderedSemigroup):
         conditions[key + ".ii_l_classes_meeting_rv_inside"] = lclasses_ok
         if regs != 0 and not (inside and lclasses_ok):
             failures.append(members(K))
-    verdict = "consistent" if not failures else "COUNTEREXAMPLE"
     violation = None if not failures else {"shape": "per-nil-ideal", "ideals": failures}
-    return conditions, verdict, {"rv_set": members(rv)}, violation
+    return conditions, {"rv_set": members(rv)}, violation
 
 
 def _eval_thm_1005(S: OrderedSemigroup):
@@ -367,8 +345,7 @@ def _eval_thm_1005(S: OrderedSemigroup):
         "ix": _nilext_witness(ne_t),
         "ordered_idempotents": members(E),
     }
-    verdict, violation = _equiv_verdict(conditions)
-    return conditions, verdict, witnesses, violation
+    return conditions, witnesses, _equiv_violation(conditions)
 
 
 def _eval_cor_simple(S: OrderedSemigroup):
@@ -388,8 +365,7 @@ def _eval_cor_simple(S: OrderedSemigroup):
         "v_rpi_and_archimedean": rpi and is_archimedean(S, "two-sided"),
     }
     witnesses = {"i": _nilext_witness(ne), "ordered_idempotents": members(E)}
-    verdict, violation = _equiv_verdict(conditions)
-    return conditions, verdict, witnesses, violation
+    return conditions, witnesses, _equiv_violation(conditions)
 
 
 def _eval_cor_rinv_nilext(S: OrderedSemigroup):
@@ -416,53 +392,44 @@ def _eval_cor_rinv_nilext(S: OrderedSemigroup):
     if lhs:
         witnesses["ideal"] = members(K)
     rhs = all(v for k, v in conditions.items() if k != "nilext_right_inverse")
-    verdict = "consistent" if lhs == rhs else "COUNTEREXAMPLE"
     violation = (
         None
         if lhs == rhs
         else {"shape": "lhs-iff-conjunction", "conditions": dict(conditions)}
     )
-    return conditions, verdict, witnesses, violation
+    return conditions, witnesses, violation
 
 
-def _eval_cor_1114(S: OrderedSemigroup):
-    csl_ne_simple_rpi = is_complete_semilattice_of(S, TAU_NE_SIMPLE_RPI)
-    csl_ne_simple = is_complete_semilattice_of(S, TAU_NE_SIMPLE)
-    csl_arch = is_complete_semilattice_of(S, TAU_ARCHIMEDEAN)
-    sets_match = pi_intra_set(S) == pi_rv_set(S)
-    conditions = {
-        "i_csl_of_nilext_simple_rpi": csl_ne_simple_rpi.holds,
-        "ii_csl_of_nilext_simple_and_intra_matches_rv": csl_ne_simple.holds and sets_match,
-        "iii_rpi_and_csl_of_archimedean": is_right_pi_inverse(S) and csl_arch.holds,
-    }
-    witnesses: dict[str, object] = {
-        "pi_intra_set": members(pi_intra_set(S)),
-        "pi_rv_set": members(pi_rv_set(S)),
-    }
-    if csl_ne_simple_rpi.holds:
-        witnesses["i_partition"] = csl_ne_simple_rpi.witness.classes_as_lists()
-    verdict, violation = _equiv_verdict(conditions)
-    return conditions, verdict, witnesses, violation
+def _csl_corollary(simple: str, arch: str) -> Callable:
+    """The evaluator of cor-1114 (simple, archimedean) and cor-leftsimple
+    (left-simple, l-archimedean): S is a complete semilattice of
+    nil-extensions of `simple` right pi-inverse ones, iff of nil-extensions
+    of `simple` ones with equal pi intra and pi rv sets, iff S is right
+    pi-inverse and a complete semilattice of `arch` ones."""
+    ne_rpi = _type(f"nil-ext-of({simple} & right-pi-inverse)")
+    ne = _type(f"nil-ext-of({simple})")
+    arch_type = _type(arch)
+    s, a = simple.replace("-", "_"), arch.replace("-", "_")
 
+    def evaluate(S: OrderedSemigroup):
+        csl_ne_rpi = is_complete_semilattice_of(S, ne_rpi)
+        csl_ne = is_complete_semilattice_of(S, ne)
+        csl_arch = is_complete_semilattice_of(S, arch_type)
+        sets_match = pi_intra_set(S) == pi_rv_set(S)
+        conditions = {
+            f"i_csl_of_nilext_{s}_rpi": csl_ne_rpi.holds,
+            f"ii_csl_of_nilext_{s}_and_intra_matches_rv": csl_ne.holds and sets_match,
+            f"iii_rpi_and_csl_of_{a}": is_right_pi_inverse(S) and csl_arch.holds,
+        }
+        witnesses: dict[str, object] = {
+            "pi_intra_set": members(pi_intra_set(S)),
+            "pi_rv_set": members(pi_rv_set(S)),
+        }
+        if csl_ne_rpi.holds:
+            witnesses["i_partition"] = csl_ne_rpi.witness.classes_as_lists()
+        return conditions, witnesses, _equiv_violation(conditions)
 
-def _eval_cor_leftsimple(S: OrderedSemigroup):
-    csl_ne_ls_rpi = is_complete_semilattice_of(S, TAU_NE_LEFT_SIMPLE_RPI)
-    csl_ne_ls = is_complete_semilattice_of(S, TAU_NE_LEFT_SIMPLE)
-    csl_larch = is_complete_semilattice_of(S, TAU_L_ARCHIMEDEAN)
-    sets_match = pi_intra_set(S) == pi_rv_set(S)
-    conditions = {
-        "i_csl_of_nilext_left_simple_rpi": csl_ne_ls_rpi.holds,
-        "ii_csl_of_nilext_left_simple_and_intra_matches_rv": csl_ne_ls.holds and sets_match,
-        "iii_rpi_and_csl_of_l_archimedean": is_right_pi_inverse(S) and csl_larch.holds,
-    }
-    witnesses: dict[str, object] = {
-        "pi_intra_set": members(pi_intra_set(S)),
-        "pi_rv_set": members(pi_rv_set(S)),
-    }
-    if csl_ne_ls_rpi.holds:
-        witnesses["i_partition"] = csl_ne_ls_rpi.witness.classes_as_lists()
-    verdict, violation = _equiv_verdict(conditions)
-    return conditions, verdict, witnesses, violation
+    return evaluate
 
 
 def _eval_thm_774_adapted(S: OrderedSemigroup):
@@ -473,27 +440,25 @@ def _eval_thm_774_adapted(S: OrderedSemigroup):
         "ii_t_archimedean_and_intra_nonempty": lhs,
     }
     witnesses = {"i": _nilext_witness(ne), "pi_intra_set": members(pi_intra_set(S))}
-    verdict, violation = _equiv_verdict(conditions)
+    violation = _equiv_violation(conditions)
     if violation is not None:
         violation["note"] = "adaptation-mismatch"
-    return conditions, verdict, witnesses, violation
+    return conditions, witnesses, violation
 
 
 # ---------------------------------------------------------------------------
 # catalog table
 
 
-def _needs_small_order(S: OrderedSemigroup) -> str | None:
-    if S.n > MAX_PARTITION_ORDER:
-        return f"exhaustive ideal/congruence scan requires order <= {MAX_PARTITION_ORDER}"
-    return None
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
+    """evaluate(S) returns (conditions, witnesses, violation), and the claim
+    holds on S iff violation is None.  A capped entry scans every ideal or
+    congruence, so it is skipped above MAX_PARTITION_ORDER."""
+
     theorem_id: str
     evaluate: Callable
-    precondition: Callable[[OrderedSemigroup], str | None] | None = None
+    capped: bool = False
     adapted: bool = False
 
 
@@ -504,15 +469,17 @@ _CATALOG: dict[str, CatalogEntry] = {
         CatalogEntry("thm-15", _eval_thm_15),
         CatalogEntry("thm-74", _eval_thm_74),
         CatalogEntry("cor-76", _eval_cor_76),
-        CatalogEntry("lem-cao", _eval_lem_cao, _needs_small_order),
+        CatalogEntry("lem-cao", _eval_lem_cao, capped=True),
         CatalogEntry("lem-ne51", _eval_lem_ne51),
-        CatalogEntry("thm-ne511", _eval_thm_ne511, _needs_small_order),
-        CatalogEntry("lem-ne53", _eval_lem_ne53, _needs_small_order),
+        CatalogEntry("thm-ne511", _eval_thm_ne511, capped=True),
+        CatalogEntry("lem-ne53", _eval_lem_ne53, capped=True),
         CatalogEntry("thm-1005", _eval_thm_1005),
         CatalogEntry("cor-simple", _eval_cor_simple),
-        CatalogEntry("cor-rinv-nilext", _eval_cor_rinv_nilext, _needs_small_order),
-        CatalogEntry("cor-1114", _eval_cor_1114, _needs_small_order),
-        CatalogEntry("cor-leftsimple", _eval_cor_leftsimple, _needs_small_order),
+        CatalogEntry("cor-rinv-nilext", _eval_cor_rinv_nilext, capped=True),
+        CatalogEntry("cor-1114", _csl_corollary("simple", "archimedean"), capped=True),
+        CatalogEntry(
+            "cor-leftsimple", _csl_corollary("left-simple", "l-archimedean"), capped=True
+        ),
         CatalogEntry("thm-774-adapted", _eval_thm_774_adapted, adapted=True),
     )
 }
@@ -522,38 +489,35 @@ def theorem_ids() -> list[str]:
     return list(_CATALOG)
 
 
-def is_adapted(theorem_id: str) -> bool:
-    """Whether the entry is an adapted statement (mismatches are warnings)."""
+def _entry(theorem_id: str) -> CatalogEntry:
     try:
-        return _CATALOG[theorem_id].adapted
+        return _CATALOG[theorem_id]
     except KeyError:
         raise UnknownTheoremError(theorem_id) from None
+
+
+def is_adapted(theorem_id: str) -> bool:
+    """Whether the entry is an adapted statement (mismatches are warnings)."""
+    return _entry(theorem_id).adapted
 
 
 def precondition_unmet(S: OrderedSemigroup, theorem_id: str) -> str | None:
     """The reason the theorem does not apply to S, or None if it does."""
-    try:
-        entry = _CATALOG[theorem_id]
-    except KeyError:
-        raise UnknownTheoremError(theorem_id) from None
-    if entry.precondition is None:
-        return None
-    return entry.precondition(S)
+    if _entry(theorem_id).capped and S.n > MAX_PARTITION_ORDER:
+        return f"exhaustive ideal/congruence scan requires order <= {MAX_PARTITION_ORDER}"
+    return None
 
 
 def check(S: OrderedSemigroup, theorem_id: str) -> TheoremReport:
-    try:
-        entry = _CATALOG[theorem_id]
-    except KeyError:
-        raise UnknownTheoremError(theorem_id) from None
-    reason = entry.precondition(S) if entry.precondition else None
+    reason = precondition_unmet(S, theorem_id)
     if reason is not None:
         raise PreconditionUnmetError(theorem_id, reason)
-    conditions, verdict, witnesses, violation = entry.evaluate(S)
+    entry = _entry(theorem_id)
+    conditions, witnesses, violation = entry.evaluate(S)
     return TheoremReport(
         theorem_id=theorem_id,
         conditions=conditions,
-        verdict=verdict,
+        verdict="consistent" if violation is None else "COUNTEREXAMPLE",
         witnesses=witnesses,
         violation=violation,
         adapted=entry.adapted,

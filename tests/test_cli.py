@@ -61,6 +61,22 @@ class TestValidate:
         assert "not associative" in out and "reflexive" in out
 
 
+MALFORMED_FILES = {
+    "deep": b"[" * 100000,  # json.loads recurses once per bracket
+    "not-utf8": b'{"order": 1, "table": [[0]], "leq": [[0, 0]]}\xff',
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize("content", sorted(MALFORMED_FILES))
+def test_malformed_structure_file_exit_2(capsys, tmp_path, command, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(MALFORMED_FILES[content])
+    code, out = run(capsys, command, str(path))
+    assert code == 2
+    assert out.startswith("invalid: ")
+
+
 class TestAnalyze:
     def test_text_report(self, capsys, lz2_file):
         code, out = run(capsys, "analyze", lz2_file)
@@ -132,8 +148,9 @@ class TestEnumerate:
         )
         assert code == 0
         ck = json.loads(ck_path.read_text())
-        assert list(ck) == ["order", "dedup", "prefix-stack", "emitted"]
+        assert list(ck) == ["order", "dedup", "prefix-stack", "emitted", "out-bytes"]
         assert ck["emitted"] == 7
+        assert ck["out-bytes"] == out_path.stat().st_size
         code, _ = run(
             capsys,
             "enumerate", "--order", "2",
@@ -173,6 +190,9 @@ class TestEnumerate:
             _cursor(prefix=_prefix([0] * 9, orders_done=0)),
             _cursor(prefix=_prefix([0] * 9, orders_done=1.5)),
             _cursor(prefix=_prefix([0] * 9, orders_done=1000000)),  # the table has 19 orders
+            pytest.param("[" * 100000, id="deep"),
+            {**_cursor(), "out-bytes": -1},
+            {**_cursor(), "out-bytes": "12"},
         ],
     )
     def test_malformed_checkpoint_exit_2(self, capsys, tmp_path, cursor):
@@ -192,6 +212,26 @@ class TestEnumerate:
         _, full = run(capsys, "enumerate", "--order", "3")
         assert code == 0
         assert resumed.splitlines() == full.splitlines()[19:]
+
+    def test_resume_truncates_lines_written_after_the_checkpoint(self, capsys, tmp_path):
+        """A kill between checkpoints leaves --out ahead of the cursor; the
+        resumed file is still the uninterrupted stream."""
+        out_path = tmp_path / "structures.jsonl"
+        ck_path = tmp_path / "cursor.json"
+        args = ["enumerate", "--order", "3", "--out", str(out_path), "--checkpoint", str(ck_path)]
+        _, full = run(capsys, "enumerate", "--order", "3")
+        lines = full.splitlines(keepends=True)
+        assert run(capsys, *args, "--limit", "20")[0] == 0
+        out_path.write_text("".join(lines[:23]))
+        assert run(capsys, *args, "--limit", "30")[0] == 0
+        assert out_path.read_text() == "".join(lines[:50])
+        out_path.write_text("".join(lines[:49]))  # shorter than the checkpoint records
+        code = main(args)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("invalid checkpoint: ")
+
+    def test_limit_zero_emits_nothing(self, capsys):
+        assert run(capsys, "enumerate", "--order", "3", "--limit", "0") == (0, "")
 
     def test_checkpoint_never_ahead_of_out(self, capsys, tmp_path, monkeypatch):
         """Each checkpoint lands by atomic rename once --out holds every line
@@ -252,6 +292,11 @@ class TestVerify:
         assert "limit=50" in out
         assert "structures=50" in out
 
+    def test_limit_zero_checks_nothing(self, capsys):
+        code, out = run(capsys, "verify", "--order", "2", "--limit", "0")
+        assert code == 0
+        assert "structures=0" in out
+
     def test_adapted_mismatch_is_warning_unless_strict(self, capsys, monkeypatch):
         # no real adaptation mismatch exists at small order (the order-4
         # sweep is clean), so force one to pin the warning contract
@@ -259,7 +304,7 @@ class TestVerify:
 
         def always_inconsistent(S):
             conditions = {"i": True, "ii": False}
-            return conditions, "COUNTEREXAMPLE", {}, {"note": "adaptation-mismatch"}
+            return conditions, {}, {"note": "adaptation-mismatch"}
 
         monkeypatch.setitem(
             theorems._CATALOG,
@@ -284,7 +329,7 @@ class TestVerify:
 
         def always_inconsistent(S):
             conditions = {"i": True, "ii": False}
-            return conditions, "COUNTEREXAMPLE", {}, {"shape": "all-equivalent"}
+            return conditions, {}, {"shape": "all-equivalent"}
 
         monkeypatch.setitem(
             theorems._CATALOG,
@@ -326,6 +371,8 @@ class TestSearch:
     def test_bad_expression_usage_error(self, capsys):
         assert main(["search", "--order", "2", "--where", "right-pi-inverse &&"]) == 1
         assert main(["search", "--order", "2", "--where", "blorp"]) == 1
+        assert main(["search", "--order", "2", "--where", "!" * 5000 + "simple"]) == 1
+        assert main(["search", "--order", "2", "--where", "(" * 5000 + "simple" + ")" * 5000]) == 1
 
 
 class TestUsage:
@@ -337,3 +384,7 @@ class TestUsage:
 
     def test_missing_required(self):
         assert main(["enumerate"]) == 1
+
+    @pytest.mark.parametrize("command", ["verify", "enumerate"])
+    def test_negative_limit(self, command):
+        assert main([command, "--order", "2", "--limit", "-1"]) == 1

@@ -194,6 +194,8 @@ class TestResume:
         assert EnumerationCursor.from_json(c.to_json()) == c
         fresh = EnumerationCursor(2, "iso", None, 0, 0)
         assert EnumerationCursor.from_json(fresh.to_json()) == fresh
+        with_out = EnumerationCursor(3, "raw", (0,) * 9, 2, 11, out_bytes=1234)
+        assert EnumerationCursor.from_json(with_out.to_json()) == with_out
 
     def test_checkpoint_keys(self):
         import json

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from oseg import ideals, regularity, relations
 from oseg.fixtures import FIXTURES, LZ2, N2, RZ2, SL2, T1
 from oseg.properties import (
+    MAX_DEPTH,
     ATOMS,
     And,
     Atom,
@@ -84,6 +85,17 @@ class TestParse:
     def test_empty(self):
         with pytest.raises(ParseError):
             parse_property_expr("")
+
+    def test_nesting_cap(self):
+        """Deeper input is a ParseError, not a RecursionError; the deepest
+        accepted expression still prints and evaluates."""
+        for text in ("!" * 5000 + "simple", "(" * 5000 + "simple" + ")" * 5000):
+            with pytest.raises(ParseError) as exc:
+                parse_property_expr(text)
+            assert exc.value.position == MAX_DEPTH + 1
+        e = parse_property_expr("nil-ext-of(" * MAX_DEPTH + "simple" + ")" * MAX_DEPTH)
+        assert parse_property_expr(to_text(e)) == e
+        assert evaluate(N2, e) == evaluate(N2, parse_property_expr("nil-ext-of(simple)"))
 
 
 def _random_expr(rng: random.Random, depth: int):
