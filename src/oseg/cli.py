@@ -300,9 +300,9 @@ def _cmd_verify(args, out) -> int:
     else:
         ids = theorems.theorem_ids()
     _check_limit(args)
-    jobs = max(1, args.jobs)
-    if args.limit is not None:
-        jobs = 1
+    if args.jobs < 1:
+        raise UsageError("--jobs must be >= 1")
+    jobs = 1 if args.limit is not None else args.jobs
     if args.order > MAX_ENUM_ORDER:
         e = OrderTooLargeError("enumeration", MAX_ENUM_ORDER, args.order)
         print(f"invalid: {e}", file=sys.stderr)

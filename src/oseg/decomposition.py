@@ -21,7 +21,6 @@ from .core import (
     _least_power_in,
     derived,
     downset,
-    mask_of,
     members,
 )
 from .ideals import all_ideals, is_ideal, kernel, restrict
@@ -33,17 +32,6 @@ MAX_PARTITION_ORDER = 6
 def _check_order(n: int) -> None:
     if n > MAX_PARTITION_ORDER:
         raise OrderTooLargeError("exhaustive partition/ideal scan", MAX_PARTITION_ORDER, n)
-
-
-@dataclass(frozen=True)
-class TypePredicate:
-    """A named total boolean property of ordered semigroups."""
-
-    name: str
-    check: Callable[[OrderedSemigroup], bool]
-
-    def __call__(self, S: OrderedSemigroup) -> bool:
-        return self.check(S)
 
 
 # ---------------------------------------------------------------------------
@@ -135,21 +123,11 @@ def family_conditions_hold(S: OrderedSemigroup, class_of: tuple[int, ...]) -> bo
 
 @dataclass(frozen=True)
 class CongruencePartition:
-    """A complete semilattice congruence with its induced semilattice.
-
-    class_of maps elements to class ids; ids are assigned by least
-    member.  class_product is the induced operation on ids and
-    class_order[i] is the mask of j with i below j (i*j = i).
-    """
+    """A complete semilattice congruence: class_of maps elements to class
+    ids, assigned by least member, and classes[i] is the mask of class i."""
 
     class_of: tuple[int, ...]
     classes: tuple[Mask, ...]
-    class_product: tuple[tuple[int, ...], ...]
-    class_order: tuple[Mask, ...]
-
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
 
     def classes_as_lists(self) -> list[list[int]]:
         return [members(m) for m in self.classes]
@@ -164,35 +142,21 @@ class CongruencePartition:
         )
 
 
-def _normalize_class_of(class_of: list[int]) -> tuple[int, ...]:
+def _partition(class_of: tuple[int, ...]) -> CongruencePartition:
+    """Package class ids, renumbered by least member, without checking them."""
     remap: dict[int, int] = {}
-    out = []
-    for c in class_of:
-        if c not in remap:
-            remap[c] = len(remap)
-        out.append(remap[c])
-    return tuple(out)
+    cls = tuple(remap.setdefault(c, len(remap)) for c in class_of)
+    cmask = [0] * len(remap)
+    for a, c in enumerate(cls):
+        cmask[c] |= 1 << a
+    return CongruencePartition(cls, tuple(cmask))
 
 
 def congruence_partition(S: OrderedSemigroup, class_of: tuple[int, ...]) -> CongruencePartition:
     """Package a complete semilattice congruence; rejects anything else."""
     if not is_csl_congruence(S, class_of):
         raise ValueError("not a complete semilattice congruence")
-    cls = _normalize_class_of(list(class_of))
-    k = max(cls) + 1
-    cmask = [0] * k
-    for a, c in enumerate(cls):
-        cmask[c] |= 1 << a
-    reps = [(m & -m).bit_length() - 1 for m in cmask]
-    prod = tuple(
-        tuple(cls[S.table[reps[i]][reps[j]]] for j in range(k)) for i in range(k)
-    )
-    # classes are multiplicatively closed; asserted because everything
-    # downstream restricts them
-    for i in range(k):
-        assert prod[i][i] == i, "congruence class not multiplicatively closed"
-    order = tuple(mask_of(j for j in range(k) if prod[i][j] == i) for i in range(k))
-    return CongruencePartition(cls, tuple(cmask), prod, order)
+    return _partition(class_of)
 
 
 @derived
@@ -235,11 +199,7 @@ def least_complete_semilattice_congruence(S: OrderedSemigroup) -> CongruencePart
 def all_complete_semilattice_congruences(S: OrderedSemigroup) -> list[CongruencePartition]:
     """Brute-force partition scan; requires order <= 6."""
     _check_order(S.n)
-    return [
-        congruence_partition(S, p)
-        for p in partitions(S.n)
-        if is_csl_congruence(S, p)
-    ]
+    return [_partition(p) for p in partitions(S.n) if is_csl_congruence(S, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +210,6 @@ def all_complete_semilattice_congruences(S: OrderedSemigroup) -> list[Congruence
 class NilExtension:
     ok: bool
     exponents: tuple[int | None, ...] | None  # least m with a^m in K, per element
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def is_nil_extension(S: OrderedSemigroup, K: Mask) -> NilExtension:
@@ -271,7 +228,9 @@ class NilExtensionOutcome:
     exponents: tuple[int | None, ...] | None
 
 
-def nil_extension_of_type(S: OrderedSemigroup, tau: TypePredicate) -> NilExtensionOutcome:
+def nil_extension_of_type(
+    S: OrderedSemigroup, tau: Callable[[OrderedSemigroup], bool]
+) -> NilExtensionOutcome:
     """Test the kernel as the nil-extension ideal of type tau.
 
     The kernel is the only candidate whenever tau implies one-sided or
@@ -288,7 +247,9 @@ def nil_extension_of_type(S: OrderedSemigroup, tau: TypePredicate) -> NilExtensi
     return NilExtensionOutcome(True, K, None, ne.exponents)
 
 
-def nil_extension_ideal_exists(S: OrderedSemigroup, tau: TypePredicate) -> Mask | None:
+def nil_extension_ideal_exists(
+    S: OrderedSemigroup, tau: Callable[[OrderedSemigroup], bool]
+) -> Mask | None:
     """Smallest ideal K with S a nil-extension of K and tau(K), if any.
 
     Exhaustive over all ideals, so capped at order 6.  Needed for types
@@ -309,14 +270,18 @@ def nil_extension_ideal_exists(S: OrderedSemigroup, tau: TypePredicate) -> Mask 
 class CslResult:
     holds: bool
     witness: CongruencePartition | None
-    mode: str  # "least" | "exhaustive" | "least-congruence-only"
+    mode: str  # "least" | "exhaustive": where the answer was found
 
 
-def is_complete_semilattice_of(S: OrderedSemigroup, tau: TypePredicate) -> CslResult:
+def is_complete_semilattice_of(
+    S: OrderedSemigroup, tau: Callable[[OrderedSemigroup], bool]
+) -> CslResult:
     """Some complete semilattice congruence with every class of type tau.
 
-    The least congruence is tried first; above order 6 it is the only
-    one consulted and a negative answer is labeled accordingly.
+    The least congruence is tried first, and then every other one in
+    partition order, the first passing one being the witness.  That scan
+    raises OrderTooLargeError above order 6, so a structure that large
+    gets an answer only when its least congruence passes.
     """
 
     def classes_pass(p: CongruencePartition) -> bool:
@@ -325,9 +290,7 @@ def is_complete_semilattice_of(S: OrderedSemigroup, tau: TypePredicate) -> CslRe
     least = least_complete_semilattice_congruence(S)
     if classes_pass(least):
         return CslResult(True, least, "least")
-    if S.n > MAX_PARTITION_ORDER:
-        return CslResult(False, None, "least-congruence-only")
     for p in all_complete_semilattice_congruences(S):
-        if classes_pass(p):
+        if p != least and classes_pass(p):
             return CslResult(True, p, "exhaustive")
     return CslResult(False, None, "exhaustive")

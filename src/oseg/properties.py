@@ -22,12 +22,7 @@ from typing import Callable, Union
 
 from . import ideals, regularity, relations
 from .core import OrderedSemigroup, full_mask
-from .decomposition import (
-    TypePredicate,
-    _check_order,
-    is_complete_semilattice_of,
-    nil_extension_of_type,
-)
+from .decomposition import is_complete_semilattice_of, nil_extension_of_type
 
 
 class ParseError(ValueError):
@@ -232,7 +227,8 @@ def to_text(e: Expr) -> str:
 def evaluate(S: OrderedSemigroup, e: Expr) -> bool:
     """Standard boolean semantics; atoms call their module operations.
 
-    csl-of atoms propagate OrderTooLargeError above order 6.
+    csl-of atoms raise OrderTooLargeError above order 6 unless the least
+    congruence decides them.
     """
     if isinstance(e, Atom):
         return ATOMS[e.name](S)
@@ -245,16 +241,12 @@ def evaluate(S: OrderedSemigroup, e: Expr) -> bool:
     if isinstance(e, NilExtOf):
         return nil_extension_of_type(S, type_of(e.arg)).found
     if isinstance(e, CslOf):
-        result = is_complete_semilattice_of(S, type_of(e.arg))
-        if result.mode == "least-congruence-only":
-            # a negative from the least congruence alone is not an answer;
-            # this mode means S.n is over the cap, so the check raises
-            _check_order(S.n)
-        return result.holds
+        return is_complete_semilattice_of(S, type_of(e.arg)).holds
     raise TypeError(f"not a property expression: {e!r}")
 
 
 @cache
-def type_of(e: Expr) -> TypePredicate:
-    """The expression as a type predicate named by its text; one per tree."""
-    return TypePredicate(to_text(e), lambda S: evaluate(S, e))
+def type_of(e: Expr) -> Callable[[OrderedSemigroup], bool]:
+    """The expression as a type, the predicate S -> evaluate(S, e) that
+    nil-ext-of and csl-of test their parts with; one function per tree."""
+    return lambda S: evaluate(S, e)

@@ -22,7 +22,6 @@ from . import ideals
 from .core import Mask, OrderedSemigroup, _SaS, downset, iter_mask, mask_of, members
 from .decomposition import (
     MAX_PARTITION_ORDER,
-    TypePredicate,
     all_complete_semilattice_congruences,
     is_complete_semilattice_of,
     is_nil_extension,
@@ -107,7 +106,7 @@ def _raw_power_masks(S: OrderedSemigroup) -> list[Mask]:
     return pow_masks
 
 
-def _type(text: str) -> TypePredicate:
+def _type(text: str) -> Callable[[OrderedSemigroup], bool]:
     """The type a search --where expression names, e.g. "simple & pi-inverse"."""
     return type_of(parse_property_expr(text))
 
@@ -123,11 +122,6 @@ TAU_SIMPLE = _type("simple")
 TAU_LEFT_SIMPLE = _type("left-simple")
 TAU_RIGHT_INVERSE = _type("right-inverse")
 TAU_ARCHIMEDEAN = _type("archimedean")
-TAU_L_ARCHIMEDEAN = _type("l-archimedean")
-TAU_NE_SIMPLE_RPI = _type("nil-ext-of(simple & right-pi-inverse)")
-TAU_NE_SIMPLE = _type("nil-ext-of(simple)")
-TAU_NE_LEFT_SIMPLE_RPI = _type("nil-ext-of(left-simple & right-pi-inverse)")
-TAU_NE_LEFT_SIMPLE = _type("nil-ext-of(left-simple)")
 
 
 def _equiv_violation(conditions: dict[str, bool]) -> dict | None:

@@ -388,3 +388,9 @@ class TestUsage:
     @pytest.mark.parametrize("command", ["verify", "enumerate"])
     def test_negative_limit(self, command):
         assert main([command, "--order", "2", "--limit", "-1"]) == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"], ids=["jobs-0", "jobs-neg"])
+    def test_jobs_below_one(self, capsys, jobs):
+        assert main(["verify", "--order", "2", "--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--jobs must be >= 1" in captured.err

@@ -11,11 +11,11 @@ from conftest import (
     oracle_power,
     structure_tables,
 )
+from oseg import decomposition
 from oseg.core import full_mask, mask_of
 from oseg.decomposition import (
     MAX_PARTITION_ORDER,
     OrderTooLargeError,
-    TypePredicate,
     all_complete_semilattice_congruences,
     congruence_partition,
     family_conditions_hold,
@@ -30,6 +30,7 @@ from oseg.decomposition import (
 from oseg.enumeration import enumerate_ordered_semigroups
 from oseg.fixtures import LZ2, N2, RZ2, SL2, T1
 from oseg.ideals import restrict
+from oseg.properties import evaluate, parse_property_expr
 from oseg.regularity import is_right_pi_inverse
 from oseg.theorems import (
     TAU_ARCHIMEDEAN,
@@ -41,12 +42,12 @@ from oseg.theorems import (
     TAU_T_SIMPLE_RPI,
 )
 
-TAU_NE_T_SIMPLE_RPI = TypePredicate(
-    "nil-ext-of(t-simple & right-pi-inverse)",
-    lambda S: nil_extension_of_type(S, TAU_T_SIMPLE_RPI).found,
-)
 
-TAU_RPI = TypePredicate("right-pi-inverse", is_right_pi_inverse)
+def TAU_NE_T_SIMPLE_RPI(S):
+    return nil_extension_of_type(S, TAU_T_SIMPLE_RPI).found
+
+
+TAU_RPI = is_right_pi_inverse
 
 
 class TestNilExtension:
@@ -110,11 +111,18 @@ class TestNilExtensionOfType:
 
     def test_kernel_shortcut_matches_ideal_scan_for_simplicity_types(self, corpus3):
         """With a simplicity component in tau, the kernel is the only candidate."""
+        types = {
+            "simple": TAU_SIMPLE,
+            "left-simple": TAU_LEFT_SIMPLE,
+            "t-simple": TAU_T_SIMPLE,
+            "simple & right-pi-inverse": TAU_SIMPLE_RPI,
+            "t-simple & right-pi-inverse": TAU_T_SIMPLE_RPI,
+        }
         for S in corpus3:
-            for tau in (TAU_SIMPLE, TAU_LEFT_SIMPLE, TAU_T_SIMPLE, TAU_SIMPLE_RPI, TAU_T_SIMPLE_RPI):
+            for name, tau in types.items():
                 via_kernel = nil_extension_of_type(S, tau).found
                 via_scan = nil_extension_ideal_exists(S, tau) is not None
-                assert via_kernel == via_scan, (S, tau.name)
+                assert via_kernel == via_scan, (S, name)
 
     def test_kernel_shortcut_wrong_without_simplicity(self):
         """SL2 is trivially a nil-extension of itself, which is right inverse,
@@ -193,17 +201,6 @@ class TestAllCongruences:
         with pytest.raises(OrderTooLargeError):
             all_complete_semilattice_congruences(big)
 
-    def test_induced_semilattice_data(self, corpus3):
-        for S in corpus3:
-            for p in all_complete_semilattice_congruences(S):
-                k = p.class_count
-                for i in range(k):
-                    assert p.class_product[i][i] == i
-                    for j in range(k):
-                        assert p.class_product[i][j] == p.class_product[j][i]
-                        below = p.class_order[i] >> j & 1 == 1
-                        assert below == (p.class_product[i][j] == i)
-
     def test_rejects_non_congruence(self):
         with pytest.raises(ValueError):
             congruence_partition(LZ2, (0, 1))
@@ -222,17 +219,47 @@ class TestIsCompleteSemilatticeOf:
         assert not r.holds and r.witness is None and r.mode == "exhaustive"
 
     def test_exhaustive_agrees_with_direct_scan(self, corpus3):
+        types = {
+            "archimedean": TAU_ARCHIMEDEAN,
+            "right-pi-inverse": TAU_RPI,
+            "nil-ext-of(t-simple & right-pi-inverse)": TAU_NE_T_SIMPLE_RPI,
+        }
         for S in corpus3:
-            for tau in (TAU_ARCHIMEDEAN, TAU_RPI, TAU_NE_T_SIMPLE_RPI):
+            for name, tau in types.items():
                 got = is_complete_semilattice_of(S, tau)
                 expected = None
                 for p in all_complete_semilattice_congruences(S):
                     if all(tau(restrict(S, c).structure) for c in p.classes):
                         expected = p
                         break
-                assert got.holds == (expected is not None), (S, tau.name)
+                assert got.holds == (expected is not None), (S, name)
                 if got.holds:
                     assert all(tau(restrict(S, c).structure) for c in got.witness.classes)
+
+    def test_failing_least_congruence_tested_once(self):
+        """N2 has one complete semilattice congruence, its least one."""
+        calls = []
+
+        def tau(S):
+            calls.append(S.n)
+            return False
+
+        r = is_complete_semilattice_of(N2, tau)
+        assert not r.holds and r.mode == "exhaustive"
+        assert calls == [2]
+
+    @pytest.mark.parametrize("depth", [1, 2, 5, 10, 99])
+    def test_nested_csl_of_restricts_once_per_level(self, monkeypatch, depth):
+        calls = []
+
+        def counting_restrict(S, mask):
+            calls.append(mask)
+            return restrict(S, mask)
+
+        monkeypatch.setattr(decomposition, "restrict", counting_restrict)
+        e = parse_property_expr("csl-of(" * depth + "simple" + ")" * depth)
+        assert not evaluate(N2, e)
+        assert len(calls) == depth
 
 
 @pytest.mark.slow
