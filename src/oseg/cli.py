@@ -132,16 +132,12 @@ def _cmd_validate(args, out) -> int:
 # analyze
 
 
-def _relation_classes(S, which) -> list[list[int]]:
-    return green(S, which).classes()
-
-
 def analyze_report(S, rv_vacuous: bool = False) -> dict:
     atoms = {name: ATOMS[name](S) for name in ATOMS}
     report = {
         "structure": to_json_dict(S),
         "atoms": atoms,
-        "green": {which: _relation_classes(S, which) for which in ("L", "R", "J", "H")},
+        "green": {which: green(S, which).classes() for which in ("L", "R", "J", "H")},
         "kernel": members(kernel(S)),
         "least_congruence": least_complete_semilattice_congruence(S).classes_as_lists(),
         "regular_elements": members(regular_elements(S)),

@@ -424,7 +424,7 @@ def from_json_dict(obj: object) -> OrderedSemigroup:
 def parse_structure(text: str) -> OrderedSemigroup:
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # ValueError: also numbers too long to convert
         raise StructureFormatError(f"not valid JSON: {e}") from None
     return from_json_dict(obj)
 

@@ -208,11 +208,6 @@ def _relabel(S: OrderedSemigroup, perm: Sequence[int]) -> tuple:
     return flat, tuple(new_down)
 
 
-def structure_key(S: OrderedSemigroup) -> tuple:
-    """Total order on same-order structures: (flat table, down masks)."""
-    return tuple(v for row in S.table for v in row), S.down
-
-
 def canonical_form(S: OrderedSemigroup) -> OrderedSemigroup:
     """The least relabeling of S; isomorphic structures share it."""
     n = S.n
@@ -227,7 +222,7 @@ def canonical_form(S: OrderedSemigroup) -> OrderedSemigroup:
 
 
 def is_canonical(S: OrderedSemigroup) -> bool:
-    return structure_key(S) == structure_key(canonical_form(S))
+    return canonical_form(S) == S
 
 
 # ---------------------------------------------------------------------------

@@ -6,41 +6,16 @@ Membership conventions (these matter and are easy to get backwards):
   It is nonempty exactly when a is regular.
 * rv_set collects the elements whose inverses are pairwise R-related and
   requires V(a) to be nonempty; the vacuous reading that also admits
-  irregular elements is available via include_irregular=True.
-* pi_rv_set asks for some power a^m (m in 1..n) with V(a^m) nonempty and
-  pairwise R-related, matching the usage in the theorems this package
-  checks.
+  irregular elements, those with V(a) empty, is available via
+  include_irregular=True.
+* pi_rv_set asks for some power a^m (m in 1..n) in rv_set, matching the
+  usage in the theorems this package checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Mask, OrderedSemigroup, _least_power_in, derived, full_mask
-from .relations import _archimedean_targets, _regular_mask, green
-
-
-@dataclass(frozen=True)
-class RegularityProfile:
-    is_regular: tuple[bool, ...]
-    pi_witness: tuple[int | None, ...]  # least m with a^m regular
-    intra_witness: tuple[int | None, ...]  # least m with a^m in (S a^2m S]
-
-
-@derived
-def regularity_profile(S: OrderedSemigroup) -> RegularityProfile:
-    n, table = S.n, S.table
-    reg = _regular_mask(S)
-    sas_down = _archimedean_targets(S, "two-sided")
-    intra = 0  # p in (S p^2 S]; with p = a^m, p^2 = a^2m
-    for p in range(n):
-        if sas_down[table[p][p]] >> p & 1:
-            intra |= 1 << p
-    return RegularityProfile(
-        is_regular=tuple(reg >> a & 1 == 1 for a in range(n)),
-        pi_witness=_least_power_in(S, reg),
-        intra_witness=_least_power_in(S, intra),
-    )
+from .relations import _regular_mask, green
 
 
 def is_regular(S: OrderedSemigroup, a: int) -> bool:
@@ -83,16 +58,23 @@ def inverses(S: OrderedSemigroup, a: int) -> Mask:
 
 
 def is_pi_regular(S: OrderedSemigroup) -> bool:
-    return all(w is not None for w in regularity_profile(S).pi_witness)
+    """Every finite ordered semigroup is pi-regular and intra-pi-regular.
+
+    Some power e of each element a is idempotent, so e <= e*e*e puts e in
+    (eSe] and e = e*e^2*e puts e in (S e^2 S], whatever the order.  The
+    oracle test test_lemma_every_finite_table_pi_and_intra_pi_regular
+    checks this on every table up to order 4.
+    """
+    return True
 
 
 def is_intra_pi_regular(S: OrderedSemigroup) -> bool:
-    return all(w is not None for w in regularity_profile(S).intra_witness)
+    return True  # see is_pi_regular
 
 
 def pi_intra_set(S: OrderedSemigroup) -> Mask:
-    """The intra pi-regular elements."""
-    return _witness_mask(regularity_profile(S).intra_witness)
+    """The intra pi-regular elements: all of S (see is_pi_regular)."""
+    return full_mask(S.n)
 
 
 def _pairwise_related(rows: tuple[Mask, ...], subset: Mask) -> bool:
@@ -104,23 +86,21 @@ def _pairwise_related(rows: tuple[Mask, ...], subset: Mask) -> bool:
 
 
 @derived
-def _agree_mask(S: OrderedSemigroup, which: str, include_irregular: bool) -> Mask:
+def _agree_mask(S: OrderedSemigroup, which: str) -> Mask:
     """The a with V(a) nonempty and pairwise related by the Green relation
-    ``which``; include_irregular also admits every a with V(a) empty."""
+    ``which``."""
     rows = green(S, which).rows
     m = 0
     for a, v in enumerate(_inverse_vector(S)):
-        if _pairwise_related(rows, v) if v else include_irregular:
+        if v and _pairwise_related(rows, v):
             m |= 1 << a
     return m
 
 
 @derived
-def _pi_agree_witness(
-    S: OrderedSemigroup, which: str, include_irregular: bool
-) -> tuple[int | None, ...]:
+def _pi_agree_witness(S: OrderedSemigroup, which: str) -> tuple[int | None, ...]:
     """Per element: least m with a^m in _agree_mask."""
-    return _least_power_in(S, _agree_mask(S, which, include_irregular))
+    return _least_power_in(S, _agree_mask(S, which))
 
 
 def _witness_mask(witness: tuple[int | None, ...]) -> Mask:
@@ -133,21 +113,24 @@ def _witness_mask(witness: tuple[int | None, ...]) -> Mask:
 
 def rv_set(S: OrderedSemigroup, include_irregular: bool = False) -> Mask:
     """Elements whose ordered inverses are pairwise R-related."""
-    return _agree_mask(S, "R", include_irregular)
+    if include_irregular:
+        return _agree_mask(S, "R") | full_mask(S.n) & ~regular_elements(S)
+    return _agree_mask(S, "R")
 
 
 def pi_rv_set(S: OrderedSemigroup, include_irregular: bool = False) -> Mask:
     """Elements with some power whose inverses are pairwise R-related."""
-    return _witness_mask(_pi_agree_witness(S, "R", include_irregular))
+    if include_irregular:
+        return _witness_mask(_least_power_in(S, rv_set(S, include_irregular=True)))
+    return _witness_mask(_pi_agree_witness(S, "R"))
 
 
 def pi_rv_witness(S: OrderedSemigroup) -> tuple[int | None, ...]:
     """Least exponent per element witnessing pi_rv_set membership."""
-    return _pi_agree_witness(S, "R", False)
+    return _pi_agree_witness(S, "R")
 
 
-# Every finite structure is pi-regular (some power of each element is
-# idempotent), so the pi-inverse family needs no pi-regularity conjunct.
+# The pi-inverse family needs no pi-regularity conjunct (see is_pi_regular).
 
 def is_right_pi_inverse(S: OrderedSemigroup) -> bool:
     """Some power of each element has R-related inverses."""
@@ -155,15 +138,15 @@ def is_right_pi_inverse(S: OrderedSemigroup) -> bool:
 
 
 def is_left_pi_inverse(S: OrderedSemigroup) -> bool:
-    return _witness_mask(_pi_agree_witness(S, "L", False)) == full_mask(S.n)
+    return _witness_mask(_pi_agree_witness(S, "L")) == full_mask(S.n)
 
 
 def is_pi_inverse(S: OrderedSemigroup) -> bool:
     """The H-related reading, the common refinement of left and right."""
-    return _witness_mask(_pi_agree_witness(S, "H", False)) == full_mask(S.n)
+    return _witness_mask(_pi_agree_witness(S, "H")) == full_mask(S.n)
 
 
 def is_right_inverse(S: OrderedSemigroup) -> bool:
-    """Every element regular with pairwise R-related inverses."""
-    full = full_mask(S.n)
-    return regular_elements(S) == full and rv_set(S) == full
+    """Every element regular with pairwise R-related inverses; rv_set
+    already leaves out the irregular elements, whose V(a) is empty."""
+    return rv_set(S) == full_mask(S.n)

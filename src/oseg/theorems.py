@@ -296,10 +296,10 @@ def _eval_thm_ne511(S: OrderedSemigroup):
 
 
 def _eval_lem_ne53(S: OrderedSemigroup):
-    regs = regular_elements(S)
     rv = rv_set(S)
     lrel = green(S, "L")
-    conditions: dict[str, bool] = {"regular_elements_exist": regs != 0}
+    # never false: an idempotent is regular (see regularity.is_pi_regular)
+    conditions: dict[str, bool] = {"regular_elements_exist": regular_elements(S) != 0}
     failures = []
     for K in ideals.all_ideals(S, "two-sided"):
         if not is_nil_extension(S, K).ok:
@@ -309,7 +309,7 @@ def _eval_lem_ne53(S: OrderedSemigroup):
         lclasses_ok = all(lrow & ~K == 0 for lrow in lrel.rows if lrow & rv)
         conditions[key + ".i_rv_inside"] = inside
         conditions[key + ".ii_l_classes_meeting_rv_inside"] = lclasses_ok
-        if regs != 0 and not (inside and lclasses_ok):
+        if not (inside and lclasses_ok):
             failures.append(members(K))
     violation = None if not failures else {"shape": "per-nil-ideal", "ideals": failures}
     return conditions, {"rv_set": members(rv)}, violation

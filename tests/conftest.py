@@ -220,6 +220,22 @@ def oracle_rv_set(table, leq) -> set:
     return out
 
 
+def oracle_rv_set_vacuous(table, leq) -> set:
+    """The vacuous reading: V(a) empty or pairwise R-related."""
+    n = len(table)
+    return {
+        a
+        for a in range(n)
+        if oracle_pairwise_r_related(table, leq, oracle_inverses(table, leq, a))
+    }
+
+
+def oracle_pi_rv_set_vacuous(table, leq) -> set:
+    """Some power of a has V empty or pairwise R-related."""
+    rv = oracle_rv_set_vacuous(table, leq)
+    return {a for a in range(len(table)) if oracle_power_values(table, a) & rv}
+
+
 def oracle_right_pi_inverse(table, leq) -> bool:
     """Directly: each element has a power with nonempty, R-related inverses.
 

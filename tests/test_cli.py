@@ -64,6 +64,7 @@ class TestValidate:
 MALFORMED_FILES = {
     "deep": b"[" * 100000,  # json.loads recurses once per bracket
     "not-utf8": b'{"order": 1, "table": [[0]], "leq": [[0, 0]]}\xff',
+    "long-number": b"9" * 5000,  # past the int digit limit of json.loads
 }
 
 

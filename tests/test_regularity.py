@@ -9,9 +9,11 @@ from conftest import (
     oracle_intra_pi_regular,
     oracle_inverses,
     oracle_pi_regular,
+    oracle_pi_rv_set_vacuous,
     oracle_regular,
     oracle_right_pi_inverse,
     oracle_rv_set,
+    oracle_rv_set_vacuous,
     structure_tables,
 )
 from oseg.core import full_mask
@@ -31,7 +33,6 @@ from oseg.regularity import (
     pi_rv_set,
     pi_rv_witness,
     regular_elements,
-    regularity_profile,
     rv_set,
 )
 from oseg.relations import green
@@ -49,13 +50,6 @@ class TestRegular:
             table, leq = structure_tables(S)
             for a in range(S.n):
                 assert is_regular(S, a) == oracle_regular(table, leq, a)
-
-    def test_profile_consistency(self, corpus3):
-        """is_regular iff the least regular-power exponent is 1."""
-        for S in corpus3:
-            prof = regularity_profile(S)
-            for a in range(S.n):
-                assert prof.is_regular[a] == (prof.pi_witness[a] == 1)
 
 
 class TestOrderedIdempotents:
@@ -101,10 +95,6 @@ class TestInverses:
 class TestPiRegularity:
     def test_n2(self):
         assert is_pi_regular(N2)
-        assert regularity_profile(N2).pi_witness == (1, 2)
-
-    def test_sl2_all_witnesses_one(self):
-        assert regularity_profile(SL2).pi_witness == (1, 1)
 
     def test_n2_intra(self):
         assert mask_set(pi_intra_set(N2)) == {0, 1}
@@ -172,6 +162,16 @@ class TestRvSets:
         # under the vacuous reading, irregular elements slip in
         assert mask_set(rv_set(N2, include_irregular=True)) == {0, 1}
         assert mask_set(rv_set(N2)) == {0}
+
+    def test_vacuous_reading_matches_oracle(self, corpus3):
+        for S in corpus3:
+            table, leq = structure_tables(S)
+            assert mask_set(rv_set(S, include_irregular=True)) == oracle_rv_set_vacuous(
+                table, leq
+            )
+            assert mask_set(pi_rv_set(S, include_irregular=True)) == oracle_pi_rv_set_vacuous(
+                table, leq
+            )
 
 
 class TestInverseFamilies:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -148,6 +150,27 @@ class TestFixtureFacts:
         assert bundle["theorems"]["thm-1005"]["verdict"] == "consistent"
 
 
+def brandt_b2() -> OrderedSemigroup:
+    """B2 on e11, e12, e21, e22, 0 (elements 0..4), discrete order:
+    e_ij * e_kl = e_il if j = k, else 0."""
+    e = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    table = tuple(
+        tuple(e.index((x[0], y[1])) if x and y and x[1] == y[0] else 4 for y in [*e, None])
+        for x in [*e, None]
+    )
+    return OrderedSemigroup(5, table, tuple(1 << i for i in range(5)))
+
+
+class TestLemNe51Shape:
+    def test_b2_both_sides_false_is_consistent(self):
+        """The all-equivalent shape accepts two false sides: e12 divides
+        e11 = e12*e21 but e12^2 = 0 does not, and rv is all of B2."""
+        rep = check(brandt_b2(), "lem-ne51")
+        assert rep.conditions == {"i_square_divides": False, "ii_product_divides": False}
+        assert rep.verdict == "consistent"
+        assert rep.witnesses == {"rv_set": [0, 1, 2, 3, 4]}
+
+
 class TestIndependentSides:
     def test_thm_15_catches_a_broken_witness(self, monkeypatch):
         """Condition ii of thm-15 does not read the pi-agreement witness, so
@@ -155,7 +178,7 @@ class TestIndependentSides:
         import oseg.regularity
 
         monkeypatch.setattr(
-            oseg.regularity, "_pi_agree_witness", lambda S, which, irregular: (None,) * S.n
+            oseg.regularity, "_pi_agree_witness", lambda S, which: (None,) * S.n
         )
         fresh = OrderedSemigroup(T1.n, T1.table, T1.down)
         rep = check(fresh, "thm-15")
@@ -183,10 +206,23 @@ class TestExhaustiveConsistency:
 
     @pytest.mark.slow
     def test_order_4_full_catalog(self):
-        """Full catalog over all 107688 order-4 structures (a few minutes)."""
+        """Full catalog over all 107688 order-4 structures (a few minutes),
+        each structure's verdicts and condition values against the
+        signatures pinned in perfbench/golden/o4.json."""
+        sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        try:
+            import goldens
+            import oracle
+        finally:
+            sys.path.pop(0)
+        golden = goldens.load("o4")
+        assert golden["catalog"]["ids"] == CATALOG
+        signatures, index = goldens.catalog_signatures(golden)
         count = 0
         for S in enumerate_ordered_semigroups(4):
-            count += 1
-            for rep in check_all(S):
+            reports = check_all(S)
+            for rep in reports:
                 assert rep.consistent, (rep.theorem_id, canonical_json(S))
-        assert count == 107688
+            assert oracle.catalog_signature(reports) == signatures[index[count]], canonical_json(S)
+            count += 1
+        assert count == 107688 == len(index)
