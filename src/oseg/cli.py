@@ -30,9 +30,9 @@ from .core import (
 from .decomposition import least_complete_semilattice_congruence
 from .enumeration import (
     DEDUP_MODES,
-    MAX_ENUM_ORDER,
     EnumerationCursor,
     OrderTooLargeError,
+    _check_order,
     enumerate_ordered_semigroups,
 )
 from .ideals import kernel
@@ -191,11 +191,8 @@ def _check_limit(args) -> None:
 
 
 def _cmd_enumerate(args, out) -> int:
-    if args.order < 1:
-        raise UsageError("--order must be >= 1")
     _check_limit(args)
     cursor = None
-    resuming = False
     if args.checkpoint and os.path.exists(args.checkpoint):
         try:
             with open(args.checkpoint, "r", encoding="utf-8") as fh:
@@ -211,20 +208,8 @@ def _cmd_enumerate(args, out) -> int:
             if size < cursor.out_bytes:
                 print(f"invalid checkpoint: --out is under {cursor.out_bytes} bytes", file=sys.stderr)
                 return 2
-        resuming = True
-    try:
-        stream = enumerate_ordered_semigroups(args.order, dedup=args.dedup, cursor=cursor)
-    except OrderTooLargeError as e:
-        print(f"invalid: {e}", file=sys.stderr)
-        return 2
-
+    stream = enumerate_ordered_semigroups(args.order, dedup=args.dedup, cursor=cursor)
     sink = out
-    close_sink = False
-    if args.out:
-        sink = open(args.out, "a" if resuming else "w", encoding="utf-8")
-        close_sink = True
-        if resuming and cursor.out_bytes is not None:
-            sink.truncate(cursor.out_bytes)  # lines past the cursor come again
 
     def save_checkpoint():
         """Make --out durable, then swap the new cursor in atomically, so a
@@ -244,13 +229,22 @@ def _cmd_enumerate(args, out) -> int:
             os.fsync(fh.fileno())
         os.replace(tmp, args.checkpoint)
     try:
+        try:  # a bad --out or --checkpoint path fails before the first structure
+            if args.out:
+                sink = open(args.out, "w" if cursor is None else "a", encoding="utf-8")
+                if cursor is not None and cursor.out_bytes is not None:
+                    sink.truncate(cursor.out_bytes)  # lines past the cursor come again
+            save_checkpoint()
+        except OSError as e:
+            print(f"invalid: {e}", file=sys.stderr)
+            return 2
         for emitted, S in enumerate(islice(stream, args.limit), start=1):
             print(canonical_json(S), file=sink)
             if emitted % CHECKPOINT_EVERY == 0:
                 save_checkpoint()
         save_checkpoint()
     finally:
-        if close_sink:
+        if sink is not out:
             sink.close()
     return 0
 
@@ -260,7 +254,7 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _fresh_acc(ids):
-    return {tid: {"checked": 0, "skipped": 0, "cex": [], "mismatch": []} for tid in ids}
+    return {tid: {"checked": 0, "skipped": 0, "failures": []} for tid in ids}
 
 
 def _run_catalog(task):
@@ -282,13 +276,11 @@ def _run_catalog(task):
                     canonical_json(S),
                     json.dumps(report.to_json_dict(), sort_keys=True),
                 )
-                acc[tid]["mismatch" if report.adapted else "cex"].append(entry)
+                acc[tid]["failures"].append(entry)
     return count, acc
 
 
 def _cmd_verify(args, out) -> int:
-    if args.order < 1:
-        raise UsageError("--order must be >= 1")
     if args.theorem:
         if args.theorem not in theorems.theorem_ids():
             raise UsageError(f"unknown theorem id {args.theorem!r}")
@@ -299,10 +291,7 @@ def _cmd_verify(args, out) -> int:
     if args.jobs < 1:
         raise UsageError("--jobs must be >= 1")
     jobs = 1 if args.limit is not None else args.jobs
-    if args.order > MAX_ENUM_ORDER:
-        e = OrderTooLargeError("enumeration", MAX_ENUM_ORDER, args.order)
-        print(f"invalid: {e}", file=sys.stderr)
-        return 2
+    _check_order(args.order)  # before a pool starts
 
     if jobs == 1:
         results = [_run_catalog((args.order, args.dedup, ids, None, args.limit))]
@@ -313,7 +302,7 @@ def _cmd_verify(args, out) -> int:
             for row in product(range(args.order), repeat=args.order)
         ]
         ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(min(jobs, len(tasks))) as pool:
+        with ctx.Pool(min(jobs, len(tasks), os.cpu_count() or 1)) as pool:
             results = list(pool.imap(_run_catalog, tasks))
     total = 0
     acc = _fresh_acc(ids)
@@ -322,43 +311,36 @@ def _cmd_verify(args, out) -> int:
         for tid, a in acc.items():
             for key in ("checked", "skipped"):
                 a[key] += part[tid][key]
-            for key in ("cex", "mismatch"):
-                a[key].extend(part[tid][key])
+            a["failures"].extend(part[tid]["failures"])
 
     print(f"verify order={args.order} dedup={args.dedup}", file=out)
     if args.limit is not None:
         print(f"limit={args.limit} (deterministic prefix of the enumeration)", file=out)
     print(f"structures={total}", file=out)
-    any_cex = False
-    any_mismatch = False
+    failed = False
     for tid in ids:
         a = acc[tid]
-        a["cex"].sort()
-        a["mismatch"].sort()
+        a["failures"].sort()
         if theorems.is_adapted(tid):
             print(
                 f"{tid}: checked={a['checked']} skipped={a['skipped']}"
-                f" mismatches={len(a['mismatch'])} (adapted)",
+                f" mismatches={len(a['failures'])} (adapted)",
                 file=out,
             )
+            failed = failed or (args.strict and bool(a["failures"]))
         else:
             print(
                 f"{tid}: checked={a['checked']} skipped={a['skipped']}"
-                f" counterexamples={len(a['cex'])}",
+                f" counterexamples={len(a['failures'])}",
                 file=out,
             )
-        any_cex = any_cex or bool(a["cex"])
-        any_mismatch = any_mismatch or bool(a["mismatch"])
+            failed = failed or bool(a["failures"])
     for tid in ids:
-        for struct, report in acc[tid]["cex"]:
-            print(f"COUNTEREXAMPLE theorem={tid}", file=out)
+        label = "ADAPTATION-MISMATCH" if theorems.is_adapted(tid) else "COUNTEREXAMPLE"
+        for struct, report in acc[tid]["failures"]:
+            print(f"{label} theorem={tid}", file=out)
             print(struct, file=out)
             print(report, file=out)
-        for struct, report in acc[tid]["mismatch"]:
-            print(f"ADAPTATION-MISMATCH theorem={tid}", file=out)
-            print(struct, file=out)
-            print(report, file=out)
-    failed = any_cex or (args.strict and any_mismatch)
     print("result: " + ("COUNTEREXAMPLE" if failed else "ok"), file=out)
     return 3 if failed else 0
 
@@ -368,19 +350,12 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_search(args, out) -> int:
-    if args.order < 1:
-        raise UsageError("--order must be >= 1")
     try:
         expr = parse_property_expr(args.where)
     except (ParseError, UnknownAtomError) as e:
         raise UsageError(f"--where: {e}")
-    try:
-        stream = enumerate_ordered_semigroups(args.order, dedup=args.dedup)
-    except OrderTooLargeError as e:
-        print(f"invalid: {e}", file=sys.stderr)
-        return 2
     count = 0
-    for S in stream:
+    for S in enumerate_ordered_semigroups(args.order, dedup=args.dedup):
         if not evaluate(S, expr):
             continue
         count += 1
@@ -404,6 +379,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "order", 1) < 1:
+            raise UsageError("--order must be >= 1")
         handler = {
             "validate": _cmd_validate,
             "analyze": _cmd_analyze,
@@ -415,6 +392,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
+    except OrderTooLargeError as e:
+        print(f"invalid: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -96,6 +96,10 @@ class OrderTooLargeError(ValueError):
         super().__init__(f"{scan} is capped at order {cap}, got {n}")
 
 
+class StructureFormatError(ValueError):
+    """A structure of the wrong shape: a bad order, table or leq, before any axiom."""
+
+
 class InvalidStructureError(ValueError):
     """Raised by validate(); carries every violated axiom with a witness."""
 
@@ -181,16 +185,16 @@ def derived(f: Callable) -> Callable:
 
 
 def _check_shape(order: int, table: Sequence[Sequence[int]], leq: Sequence[Sequence[bool]]) -> None:
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
+        raise StructureFormatError(f"order must be a positive integer, got {order!r}")
     if len(table) != order or any(len(row) != order for row in table):
-        raise ValueError(f"table must be {order}x{order}")
+        raise StructureFormatError(f"table must be {order}x{order}")
     for row in table:
         for v in row:
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < order:
-                raise ValueError(f"table entry {v!r} out of range [0,{order})")
+                raise StructureFormatError(f"table entry {v!r} out of range [0,{order})")
     if len(leq) != order or any(len(row) != order for row in leq):
-        raise ValueError(f"leq must be {order}x{order}")
+        raise StructureFormatError(f"leq must be {order}x{order}")
 
 
 def axiom_violations(
@@ -236,7 +240,11 @@ def axiom_violations(
 def validate(
     order: int, table: Sequence[Sequence[int]], leq: Sequence[Sequence[bool]]
 ) -> OrderedSemigroup:
-    """Check all axioms and return the structure, or raise with every violation."""
+    """Check the shape, then every axiom, and return the structure.
+
+    A bad shape raises StructureFormatError; violated axioms raise
+    InvalidStructureError with every violation.
+    """
     _check_shape(order, table, leq)
     violations = axiom_violations(order, table, leq)
     if violations:
@@ -362,10 +370,6 @@ def _SaS(S: OrderedSemigroup) -> tuple[Mask, ...]:
 # (compact separators, keys in the order above).
 
 
-class StructureFormatError(ValueError):
-    pass
-
-
 def leq_pairs(S: OrderedSemigroup) -> list[list[int]]:
     n = S.n
     return [[i, j] for i in range(n) for j in range(n) if S.down[j] >> i & 1]
@@ -382,7 +386,7 @@ def canonical_json(S: OrderedSemigroup) -> str:
 def from_json_dict(obj: object) -> OrderedSemigroup:
     """Parse and validate the wire format.
 
-    Format errors (wrong shapes, out-of-range indices) raise
+    Malformed JSON and every shape error :func:`validate` finds raise
     StructureFormatError before any axiom is checked; axiom violations
     then raise InvalidStructureError.
     """
@@ -394,19 +398,13 @@ def from_json_dict(obj: object) -> OrderedSemigroup:
         pairs = obj["leq"]
     except KeyError as e:
         raise StructureFormatError(f"missing key {e.args[0]!r}") from None
-    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
+    if not isinstance(order, int) or isinstance(order, bool):  # bounds the leq pairs
         raise StructureFormatError(f"order must be a positive integer, got {order!r}")
-    if not isinstance(table, list) or len(table) != order:
-        raise StructureFormatError(f"table must be a list of {order} rows")
-    for row in table:
-        if not isinstance(row, list) or len(row) != order:
-            raise StructureFormatError(f"table rows must have length {order}")
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < order:
-                raise StructureFormatError(f"table entry {v!r} out of range [0,{order})")
+    if not isinstance(table, list) or any(not isinstance(row, list) for row in table):
+        raise StructureFormatError("table must be a list of rows")
     if not isinstance(pairs, list):
         raise StructureFormatError("leq must be a list of [i, j] pairs")
-    leq = [[False] * order for _ in range(order)]
+    below = set()
     for p in pairs:
         if (
             not isinstance(p, list)
@@ -417,7 +415,9 @@ def from_json_dict(obj: object) -> OrderedSemigroup:
         i, j = p
         if not (0 <= i < order and 0 <= j < order):
             raise StructureFormatError(f"leq pair {p!r} out of range [0,{order})")
-        leq[i][j] = True
+        below.add((i, j))
+    # shaped like the table, so a huge order allocates nothing before validate
+    leq = [[(i, j) in below for j in range(len(row))] for i, row in enumerate(table)]
     return validate(order, table, leq)
 
 

@@ -29,7 +29,9 @@ DEDUP_MODES = ("raw", "iso")
 
 
 def _check_order(n: int) -> None:
-    if not 1 <= n <= MAX_ENUM_ORDER:
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    if n > MAX_ENUM_ORDER:
         raise OrderTooLargeError("enumeration", MAX_ENUM_ORDER, n)
 
 

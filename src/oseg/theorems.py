@@ -22,6 +22,7 @@ from . import ideals
 from .core import Mask, OrderedSemigroup, _SaS, downset, iter_mask, mask_of, members
 from .decomposition import (
     MAX_PARTITION_ORDER,
+    _check_order,
     all_complete_semilattice_congruences,
     is_complete_semilattice_of,
     is_nil_extension,
@@ -46,13 +47,6 @@ from .relations import divides, green, green_star, is_archimedean
 
 class UnknownTheoremError(KeyError):
     pass
-
-
-class PreconditionUnmetError(ValueError):
-    def __init__(self, theorem_id: str, detail: str):
-        self.theorem_id = theorem_id
-        self.detail = detail
-        super().__init__(f"{theorem_id}: {detail}")
 
 
 @dataclass
@@ -398,8 +392,10 @@ def _csl_corollary(simple: str, arch: str) -> Callable:
     """The evaluator of cor-1114 (simple, archimedean) and cor-leftsimple
     (left-simple, l-archimedean): S is a complete semilattice of
     nil-extensions of `simple` right pi-inverse ones, iff of nil-extensions
-    of `simple` ones with equal pi intra and pi rv sets, iff S is right
-    pi-inverse and a complete semilattice of `arch` ones."""
+    of `simple` ones and right pi-inverse, iff S is right pi-inverse and a
+    complete semilattice of `arch` ones.  The paper's (ii) asks the pi intra
+    set to equal the pi rv set; the first is all of a finite S, so that is
+    right pi-inverseness, which (ii) and (iii) share."""
     ne_rpi = _type(f"nil-ext-of({simple} & right-pi-inverse)")
     ne = _type(f"nil-ext-of({simple})")
     arch_type = _type(arch)
@@ -409,11 +405,11 @@ def _csl_corollary(simple: str, arch: str) -> Callable:
         csl_ne_rpi = is_complete_semilattice_of(S, ne_rpi)
         csl_ne = is_complete_semilattice_of(S, ne)
         csl_arch = is_complete_semilattice_of(S, arch_type)
-        sets_match = pi_intra_set(S) == pi_rv_set(S)
+        rpi = is_right_pi_inverse(S)
         conditions = {
             f"i_csl_of_nilext_{s}_rpi": csl_ne_rpi.holds,
-            f"ii_csl_of_nilext_{s}_and_intra_matches_rv": csl_ne.holds and sets_match,
-            f"iii_rpi_and_csl_of_{a}": is_right_pi_inverse(S) and csl_arch.holds,
+            f"ii_csl_of_nilext_{s}_and_intra_matches_rv": csl_ne.holds and rpi,
+            f"iii_rpi_and_csl_of_{a}": rpi and csl_arch.holds,
         }
         witnesses: dict[str, object] = {
             "pi_intra_set": members(pi_intra_set(S)),
@@ -427,11 +423,11 @@ def _csl_corollary(simple: str, arch: str) -> Callable:
 
 
 def _eval_thm_774_adapted(S: OrderedSemigroup):
-    lhs = is_archimedean(S, "t") and pi_intra_set(S) != 0
     ne = nil_extension_of_type(S, TAU_T_SIMPLE)
     conditions = {
         "i_nilext_t_simple": ne.found,
-        "ii_t_archimedean_and_intra_nonempty": lhs,
+        # the pi intra set is all of a finite S, so it is never empty
+        "ii_t_archimedean_and_intra_nonempty": is_archimedean(S, "t"),
     }
     witnesses = {"i": _nilext_witness(ne), "pi_intra_set": members(pi_intra_set(S))}
     violation = _equiv_violation(conditions)
@@ -503,10 +499,11 @@ def precondition_unmet(S: OrderedSemigroup, theorem_id: str) -> str | None:
 
 
 def check(S: OrderedSemigroup, theorem_id: str) -> TheoremReport:
-    reason = precondition_unmet(S, theorem_id)
-    if reason is not None:
-        raise PreconditionUnmetError(theorem_id, reason)
+    """The entry's report on S; OrderTooLargeError for a capped entry above
+    MAX_PARTITION_ORDER (see precondition_unmet)."""
     entry = _entry(theorem_id)
+    if entry.capped:
+        _check_order(S.n)
     conditions, witnesses, violation = entry.evaluate(S)
     return TheoremReport(
         theorem_id=theorem_id,

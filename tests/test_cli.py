@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -254,8 +258,46 @@ class TestEnumerate:
             "--out", str(out_path), "--checkpoint", str(ck_path),
         )
         assert code == 0
-        assert seen == [(5, 5), (10, 10), (15, 15), (20, 20), (20, 20)]
+        assert seen == [(0, 0), (5, 5), (10, 10), (15, 15), (20, 20), (20, 20)]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cursor.json", "structures.jsonl"]
+
+    def test_out_is_a_directory(self, capsys, tmp_path):
+        code = main(["enumerate", "--order", "2", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("invalid: ")
+
+    def test_checkpoint_in_missing_directory(self, capsys, tmp_path):
+        ck_path = tmp_path / "missing" / "c.json"
+        code = main(["enumerate", "--order", "2", "--checkpoint", str(ck_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""  # fails before the first structure
+        assert captured.err.startswith("invalid: ")
+
+    @pytest.mark.slow
+    def test_kill_and_resume(self, capsys, tmp_path):
+        """SIGKILL mid-stream, then resume: --out is the uninterrupted stream."""
+        out_path = tmp_path / "structures.jsonl"
+        ck_path = tmp_path / "cursor.json"
+        args = ["enumerate", "--order", "4", "--out", str(out_path), "--checkpoint", str(ck_path)]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen([sys.executable, "-m", "oseg.cli", *args], env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while proc.poll() is None and time.monotonic() < deadline:
+                if ck_path.exists() and json.loads(ck_path.read_text())["emitted"] >= 1000:
+                    break
+                time.sleep(0.01)
+        finally:
+            proc.kill()
+        assert proc.wait(timeout=30) == -signal.SIGKILL  # killed, not finished
+        assert json.loads(ck_path.read_text())["emitted"] >= 1000
+        assert main(args) == 0
+        _, full = run(capsys, "enumerate", "--order", "4")
+        assert out_path.read_text() == full
 
 
 class TestVerify:
@@ -286,6 +328,34 @@ class TestVerify:
         _, sequential = run(capsys, "verify", "--order", "2", "--all")
         _, parallel = run(capsys, "verify", "--order", "2", "--all", "--jobs", "2")
         assert sequential == parallel
+
+    def test_jobs_capped_at_cpu_count(self, capsys, monkeypatch):
+        """The pool asks for at most os.cpu_count() workers; the fake pool
+        runs every task in this process, so no process starts."""
+        asked = []
+
+        class FakePool:
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, tasks):
+                return map(func, tasks)
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(cli.multiprocessing, "get_context", lambda method: FakeContext())
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        _, sequential = run(capsys, "verify", "--order", "3", "--jobs", "1")
+        code, capped = run(capsys, "verify", "--order", "3", "--jobs", "64")
+        assert asked == [2]
+        assert code == 0 and capped == sequential
 
     def test_limit_documented(self, capsys):
         code, out = run(capsys, "verify", "--order", "3", "--theorem", "thm-1005", "--limit", "50")

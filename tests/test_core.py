@@ -95,12 +95,19 @@ class TestValidate:
         )
 
     def test_shape_and_range_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(StructureFormatError):
             validate(2, [[0, 2], [1, 1]], DISCRETE2)
-        with pytest.raises(ValueError):
+        with pytest.raises(StructureFormatError):
             validate(0, [], [])
-        with pytest.raises(ValueError):
+        with pytest.raises(StructureFormatError):
             validate(2, [[0, 0]], DISCRETE2)
+        with pytest.raises(StructureFormatError, match="leq must be 2x2"):
+            validate(2, [[0, 0], [0, 0]], [[True, False], [True]])
+
+    @pytest.mark.parametrize("order", [2.0, True, "2", None])
+    def test_non_integer_order_rejected(self, order):
+        with pytest.raises(StructureFormatError, match="order must be a positive integer"):
+            validate(order, [[0, 0], [0, 0]], DISCRETE2)
 
     def test_agrees_with_naive_oracle_order_2(self):
         """validate accepts exactly what the triple-loop oracle accepts."""
@@ -266,6 +273,15 @@ class TestJson:
             from_json_dict([1, 2])
         with pytest.raises(StructureFormatError):
             from_json_dict({"order": 2, "table": [[0, 0], [1, 1]]})
+
+    def test_shape_left_to_validate(self):
+        with pytest.raises(StructureFormatError, match="table must be 2x2"):
+            from_json_dict({"order": 2, "table": [[0, 0], [0]], "leq": [[0, 0], [1, 1]]})
+        with pytest.raises(StructureFormatError, match="order must be a positive integer"):
+            from_json_dict({"order": 0, "table": [], "leq": []})
+        # the leq matrix follows the table, so a huge order allocates nothing
+        with pytest.raises(StructureFormatError, match="table must be"):
+            from_json_dict({"order": 10**12, "table": [[0]], "leq": [[0, 0]]})
 
     def test_missing_reflexive_pair_is_axiom_error(self):
         with pytest.raises(InvalidStructureError):

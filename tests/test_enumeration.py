@@ -57,6 +57,12 @@ class TestTables:
         with pytest.raises(OrderTooLargeError):
             list(enumerate_tables(6))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_order_below_one_is_not_the_cap(self, n):
+        with pytest.raises(ValueError, match="order must be >= 1") as exc:
+            enumerate_ordered_semigroups(n)
+        assert not isinstance(exc.value, OrderTooLargeError)
+
 
 class TestCompatibleOrders:
     def test_lz2_three_orders(self):

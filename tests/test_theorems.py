@@ -8,11 +8,10 @@ import sys
 
 import pytest
 
-from oseg.core import OrderedSemigroup, canonical_json
+from oseg.core import OrderedSemigroup, OrderTooLargeError, canonical_json
 from oseg.enumeration import enumerate_ordered_semigroups
 from oseg.fixtures import FIXTURES, LZ2, N2, RZ2, SL2, T1
 from oseg.theorems import (
-    PreconditionUnmetError,
     UnknownTheoremError,
     check,
     check_all,
@@ -57,7 +56,7 @@ class TestCatalogSurface:
         down = tuple(1 << i for i in range(n))
         big = OrderedSemigroup(n, table, down)
         assert precondition_unmet(big, "lem-cao") is not None
-        with pytest.raises(PreconditionUnmetError):
+        with pytest.raises(OrderTooLargeError):
             check(big, "thm-ne511")
         # the cheap theorems still run
         assert precondition_unmet(big, "thm-1005") is None
