@@ -2,7 +2,7 @@
 
 Commands: validate, analyze, enumerate, verify, search.  Exit codes:
 0 success / consistent, 1 usage error, 2 invalid input, 3 counterexample
-found (verify) or no match found (search --first).
+found (verify) or no match found (search --first), 141 stdout closed early.
 
 verify and analyze print deterministically: byte-identical output across
 runs and across --jobs values for the same input.
@@ -223,10 +223,14 @@ def _cmd_enumerate(args, out) -> int:
             os.fsync(sink.fileno())
             current = replace(current, out_bytes=os.fstat(sink.fileno()).st_size)
         tmp = args.checkpoint + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(current.to_json() + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(current.to_json() + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+        except OSError as e:
+            e.filename = args.checkpoint  # the path given, not its temporary twin
+            raise
         os.replace(tmp, args.checkpoint)
     try:
         try:  # a bad --out or --checkpoint path fails before the first structure
@@ -321,20 +325,10 @@ def _cmd_verify(args, out) -> int:
     for tid in ids:
         a = acc[tid]
         a["failures"].sort()
-        if theorems.is_adapted(tid):
-            print(
-                f"{tid}: checked={a['checked']} skipped={a['skipped']}"
-                f" mismatches={len(a['failures'])} (adapted)",
-                file=out,
-            )
-            failed = failed or (args.strict and bool(a["failures"]))
-        else:
-            print(
-                f"{tid}: checked={a['checked']} skipped={a['skipped']}"
-                f" counterexamples={len(a['failures'])}",
-                file=out,
-            )
-            failed = failed or bool(a["failures"])
+        adapted, found = theorems.is_adapted(tid), len(a["failures"])
+        tally = f"mismatches={found} (adapted)" if adapted else f"counterexamples={found}"
+        print(f"{tid}: checked={a['checked']} skipped={a['skipped']} {tally}", file=out)
+        failed = failed or (found > 0 and (args.strict or not adapted))
     for tid in ids:
         label = "ADAPTATION-MISMATCH" if theorems.is_adapted(tid) else "COUNTEREXAMPLE"
         for struct, report in acc[tid]["failures"]:
@@ -395,6 +389,9 @@ def main(argv: list[str] | None = None) -> int:
     except OrderTooLargeError as e:
         print(f"invalid: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout's reader left (`| head`): exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiet exit flush
+        return 141
 
 
 if __name__ == "__main__":

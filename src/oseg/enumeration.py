@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 from typing import Iterator, Sequence
 
@@ -193,34 +194,50 @@ def enumerate_compatible_orders(table: Sequence[Sequence[int]]) -> Iterator[tupl
 # canonical forms
 
 
-def _relabel(S: OrderedSemigroup, perm: Sequence[int]) -> tuple:
-    """Encoding (flat table, down masks) of S with element i renamed perm[i]."""
-    n = S.n
-    table = S.table
-    new_table = [[0] * n for _ in range(n)]
-    new_down = [0] * n
-    for i in range(n):
-        pi = perm[i]
-        row = table[i]
-        for j in range(n):
-            new_table[pi][perm[j]] = perm[row[j]]
-        for x in iter_mask(S.down[i]):
-            new_down[pi] |= 1 << perm[x]
-    flat = tuple(v for row in new_table for v in row)
-    return flat, tuple(new_down)
+@cache
+def _renamings(n: int) -> list[tuple[tuple[int, ...], list[int], list[int]]]:
+    """(q, p, cells) per renaming, the identity first: q[a] is the old name of
+    a, p is q's inverse, and relabeled flat cell k is p[flat[cells[k]]]."""
+    out = []
+    for q in permutations(range(n)):
+        p = sorted(range(n), key=q.__getitem__)
+        out.append((q, p, [x * n + y for x in q for y in q]))
+    return out
+
+
+def _least_relabelings(table) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """(least flat relabeling of the table, every renaming q reaching it),
+    each candidate dropped at its first cell above the least so far.  For a
+    table that is its own least relabeling the q are Aut(table), identity first."""
+    flat = [v for row in table for v in row]
+    least = tuple(flat)
+    reach: list[tuple[int, ...]] = []
+    for q, p, cells in _renamings(len(table)):
+        for k, i in enumerate(cells):
+            v = p[flat[i]]
+            if v != least[k]:
+                break
+        else:
+            reach.append(q)
+            continue
+        if v < least[k]:
+            least = tuple(p[flat[i]] for i in cells)
+            reach = [q]
+    return least, reach
+
+
+def _renamed_down(down: Sequence[Mask], q: Sequence[int]) -> tuple[Mask, ...]:
+    """Down masks after renaming q: new a <= new b iff q[a] <= q[b]."""
+    return tuple(sum((down[y] >> x & 1) << a for a, x in enumerate(q)) for y in q)
 
 
 def canonical_form(S: OrderedSemigroup) -> OrderedSemigroup:
-    """The least relabeling of S; isomorphic structures share it."""
+    """The least relabeling of S under (flat table, down masks), shared by
+    isomorphic structures: the least table, then its least down masks."""
     n = S.n
-    best = None
-    for perm in permutations(range(n)):
-        enc = _relabel(S, perm)
-        if best is None or enc < best:
-            best = enc
-    flat, down = best
-    table = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
-    return OrderedSemigroup(n, table, down)
+    flat, renamings = _least_relabelings(S.table)
+    down = min(_renamed_down(S.down, q) for q in renamings)
+    return OrderedSemigroup(n, tuple(flat[i * n : (i + 1) * n] for i in range(n)), down)
 
 
 def is_canonical(S: OrderedSemigroup) -> bool:
@@ -321,13 +338,14 @@ class StructureStream:
         _check_order(n)
         if dedup not in DEDUP_MODES:
             raise ValueError(f"dedup must be one of {DEDUP_MODES}")
-        if cursor is not None and (cursor.order != n or cursor.dedup != dedup):
+        if cursor is None:
+            cursor = EnumerationCursor(n, dedup, None, 0, 0)
+        elif cursor.order != n or cursor.dedup != dedup:
             raise ValueError("cursor does not match this enumeration")
         self.n = n
         self.dedup = dedup
-        self._emitted = cursor.emitted if cursor else 0
-        self._table: tuple[int, ...] | None = cursor.table if cursor else None
-        self._orders_done = cursor.orders_done if cursor else 0
+        self._table, self._orders_done = cursor.table, cursor.orders_done
+        self._emitted = cursor.emitted
         self._gen = self._run(cursor, first_row)
 
     @property
@@ -336,26 +354,31 @@ class StructureStream:
             self.n, self.dedup, self._table, self._orders_done, self._emitted
         )
 
-    def _run(self, cursor: EnumerationCursor | None, first_row) -> Iterator[OrderedSemigroup]:
+    def _run(self, cursor: EnumerationCursor, first_row) -> Iterator[OrderedSemigroup]:
         n = self.n
-        resume_table = cursor.table if cursor else None
-        skip_orders = cursor.orders_done if cursor else 0
+        resume_table, skip_orders = cursor.table, cursor.orders_done
         for table in enumerate_tables(n, first_row=first_row, resume_table=resume_table):
             flat = tuple(v for row in table for v in row)
             resuming_here = resume_table is not None and flat == tuple(resume_table)
+            resume_table = None
+            automorphisms: list = []
+            if self.dedup == "iso":  # a least table, then down masks least under Aut(table)
+                least, automorphisms = _least_relabelings(table)
+                if least != flat:
+                    continue
+                del automorphisms[0]  # the identity
             consumed = 0
             for down in enumerate_compatible_orders(table):
                 consumed += 1
                 if resuming_here and consumed <= skip_orders:
                     continue
-                S = OrderedSemigroup(n, table, down)
-                if self.dedup == "iso" and not is_canonical(S):
+                if automorphisms and any(_renamed_down(down, q) < down for q in automorphisms):
                     continue
+                S = OrderedSemigroup(n, table, down)
                 self._table = flat
                 self._orders_done = consumed
                 self._emitted += 1
                 yield S
-            resume_table = None
 
     def __iter__(self) -> "StructureStream":
         return self

@@ -8,7 +8,7 @@ package results against these.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -335,6 +335,28 @@ def oracle_nil_extension(table, leq, K) -> bool:
     if not oracle_is_ideal(table, leq, K, "two-sided"):
         return False
     return all(oracle_power_values(table, a) & K for a in range(len(table)))
+
+
+def oracle_relabelings(table, leq) -> list[tuple]:
+    """(flat table, down masks) of every renaming x -> p(x), one per p.
+
+    Straight from the definition of an isomorphism: the renamed structure
+    has p(x) * p(y) = p(x * y) and p(x) <= p(y) iff x <= y.  down[j] is
+    the mask of the i with i <= j, as in the package's key.
+    """
+    n = len(table)
+    keys = []
+    for p in permutations(range(n)):
+        t = [[0] * n for _ in range(n)]
+        le = [[False] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                t[p[x]][p[y]] = p[table[x][y]]
+                le[p[x]][p[y]] = leq[x][y]
+        flat = tuple(v for row in t for v in row)
+        down = tuple(sum(1 << i for i in range(n) if le[i][j]) for j in range(n))
+        keys.append((flat, down))
+    return keys
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,7 @@ class TestEnumerate:
         assert code == 2
         assert captured.out == ""  # fails before the first structure
         assert captured.err.startswith("invalid: ")
+        assert captured.err.rstrip().endswith(repr(str(ck_path)))  # not the .tmp file
 
     @pytest.mark.slow
     def test_kill_and_resume(self, capsys, tmp_path):
@@ -444,6 +445,30 @@ class TestSearch:
         assert main(["search", "--order", "2", "--where", "blorp"]) == 1
         assert main(["search", "--order", "2", "--where", "!" * 5000 + "simple"]) == 1
         assert main(["search", "--order", "2", "--where", "(" * 5000 + "simple" + ")" * 5000]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--order", "4"], ["search", "--order", "4", "--where", "pi-regular"]],
+)
+def test_reader_closing_stdout_exits_141_quietly(argv):
+    """`oseg ... | head -1`: no traceback, the SIGPIPE exit status 128 + 13."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "oseg.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b'{"order":4,')
+        proc.stdout.close()  # megabytes of output are still to come
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 class TestUsage:

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import sys
+from collections import Counter
+from itertools import islice
+from math import factorial
 
 import pytest
 
@@ -11,6 +16,8 @@ from conftest import (
     oracle_all_structures,
     oracle_all_tables,
     oracle_compatible,
+    oracle_relabelings,
+    structure_tables,
 )
 from oseg.core import OrderedSemigroup, axiom_violations, canonical_json
 from oseg.enumeration import (
@@ -26,6 +33,20 @@ from oseg.fixtures import LZ2, RZ2
 
 # raw associative table counts, cross-checked against OEIS A023814
 TABLE_COUNTS = {1: 1, 2: 8, 3: 113, 4: 3492}
+
+# (iso classes, raw structures) per order; the order-4 raw count is the
+# one perfbench/golden/o4.json pins
+ISO_COUNTS = {2: (11, 20), 3: (173, 971), 4: (4753, 107688)}
+
+
+def key(S: OrderedSemigroup) -> tuple:
+    return tuple(v for row in S.table for v in row), S.down
+
+
+def orbit_and_least(S: OrderedSemigroup) -> tuple[int, bool]:
+    """(n!/|Aut(S)|, whether S's key is least among its renamings), by the oracle."""
+    keys = oracle_relabelings(*structure_tables(S))
+    return factorial(S.n) // keys.count(key(S)), key(S) == min(keys)
 
 
 class TestTables:
@@ -189,6 +210,101 @@ class TestCanonicalForm:
     def test_is_canonical(self, corpus2):
         for S in corpus2:
             assert is_canonical(S) == (canonical_form(S) == S)
+
+
+class TestIsoAgainstOracle:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_orbit_stabilizer(self, n):
+        """The orbit sizes n!/|Aut(S)| of the iso classes add up to the raw
+        count, and every class comes out as its least relabeling."""
+        classes, raw = ISO_COUNTS[n]
+        facts = [orbit_and_least(S) for S in enumerate_ordered_semigroups(n, dedup="iso")]
+        assert len(facts) == classes
+        assert sum(orbit for orbit, _ in facts) == raw
+        assert all(least for _, least in facts)
+
+    def test_canonical_form_and_is_canonical(self, corpus3):
+        """Against the oracle's least key: all of order <= 3, every 7th of order 4."""
+        sample = corpus3 + list(islice(enumerate_ordered_semigroups(4), 0, None, 7))
+        table_not_least = down_not_least = 0
+        for S in sample:
+            least = min(oracle_relabelings(*structure_tables(S)))
+            assert key(canonical_form(S)) == least
+            assert is_canonical(S) == (key(S) == least)
+            table_not_least += key(S)[0] != least[0]
+            down_not_least += key(S)[0] == least[0] and key(S)[1] != least[1]
+        # both ways of failing occur: a table that is not least, and a least
+        # table whose down masks an automorphism of it lowers
+        assert table_not_least > 0 and down_not_least > 0
+
+
+def label_free(signature: str) -> str:
+    """Each entry's verdict and the multiset of its condition values.
+
+    Per-ideal and per-congruence conditions are listed in the order of
+    their elements' labels, so only this much of a signature is the same
+    for every relabeling of a structure.
+    """
+    return "|".join(part[0] + "".join(sorted(part[1:])) for part in signature.split("|"))
+
+
+@pytest.mark.slow
+def test_iso_sweep_reproduces_raw_sweep(monkeypatch):
+    """The catalog over the 4753 order-4 iso classes against the raw sweep
+    over all 107688 pinned in perfbench/golden/o4.json: each class has the
+    signature its representative has there, and weighted by orbit sizes
+    the classes give the raw sweep's histogram and per-entry totals."""
+    from oseg import cli, theorems
+
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    try:
+        import goldens
+        import oracle
+    finally:
+        sys.path.pop(0)
+    golden = goldens.load("o4")
+    cat = golden["catalog"]
+    ids = cat["ids"]
+    reports: dict = {}  # structure -> {id: its report, None when skipped}
+    check, unmet = theorems.check, theorems.precondition_unmet
+
+    def recording_unmet(S, tid):
+        reason = unmet(S, tid)
+        if reason is not None:
+            reports.setdefault(S, {})[tid] = None
+        return reason
+
+    def recording_check(S, tid):
+        reports.setdefault(S, {})[tid] = rep = check(S, tid)
+        return rep
+
+    monkeypatch.setattr(theorems, "precondition_unmet", recording_unmet)
+    monkeypatch.setattr(theorems, "check", recording_check)
+    count, _ = cli._run_catalog((4, "iso", ids, None, None))
+    assert count == len(reports) == ISO_COUNTS[4][0]
+
+    signatures, index = goldens.catalog_signatures(golden)
+    weighted: Counter = Counter()
+    totals = {k: dict.fromkeys(ids, 0) for k in ("checked", "skipped", "counterexamples")}
+    found = 0
+    for position, S in enumerate(enumerate_ordered_semigroups(4)):
+        by_id = reports.get(S)
+        if by_id is None:
+            continue
+        found += 1
+        signature = oracle.catalog_signature([by_id[tid] for tid in ids])
+        assert signature == signatures[index[position]]
+        orbit, least = orbit_and_least(S)
+        assert least
+        weighted[label_free(signature)] += orbit
+        for tid in ids:
+            rep = by_id[tid]
+            totals["skipped" if rep is None else "checked"][tid] += orbit
+            totals["counterexamples"][tid] += orbit * (rep is not None and not rep.consistent)
+    assert found == count
+    assert weighted == Counter(label_free(signatures[i]) for i in index)
+    for k, per_id in totals.items():
+        assert per_id == cat[k], k
 
 
 class TestResume:
