@@ -129,7 +129,23 @@ class Restriction:
         return out
 
 
+#: every proper restriction made in this process, one object (and one
+#: derived cache) per table and order; those of order-5 structures have
+#: order < 5, so there are at most 1 + 20 + 971 + 107688 = 108680 of them
+_INTERNED: dict[OrderedSemigroup, OrderedSemigroup] = {}
+
+
 def restrict(S: OrderedSemigroup, mask: Mask) -> Restriction:
+    """The subset as a structure of its own: S itself for the whole set
+    (not memoized, so S's cache never holds S), else an interned
+    substructure, memoized per (S, mask)."""
+    if mask == full_mask(S.n):
+        return Restriction(structure=S, embed=tuple(range(S.n)))
+    return _proper_restriction(S, mask)
+
+
+@derived
+def _proper_restriction(S: OrderedSemigroup, mask: Mask) -> Restriction:
     if mask == 0:
         raise EmptySubsetError("cannot restrict to the empty subset")
     elems = members(mask)
@@ -148,7 +164,7 @@ def restrict(S: OrderedSemigroup, mask: Mask) -> Restriction:
             m |= 1 << index[i]
         sub_down.append(m)
     sub = OrderedSemigroup(len(elems), sub_table, tuple(sub_down))
-    return Restriction(structure=sub, embed=tuple(elems))
+    return Restriction(structure=_INTERNED.setdefault(sub, sub), embed=tuple(elems))
 
 
 def all_ideals(S: OrderedSemigroup, kind: str = "two-sided") -> list[Mask]:

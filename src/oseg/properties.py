@@ -21,7 +21,7 @@ from functools import cache
 from typing import Callable, Union
 
 from . import ideals, regularity, relations
-from .core import OrderedSemigroup, full_mask
+from .core import OrderedSemigroup, derived, full_mask
 from .decomposition import is_complete_semilattice_of, nil_extension_of_type
 
 
@@ -248,5 +248,6 @@ def evaluate(S: OrderedSemigroup, e: Expr) -> bool:
 @cache
 def type_of(e: Expr) -> Callable[[OrderedSemigroup], bool]:
     """The expression as a type, the predicate S -> evaluate(S, e) that
-    nil-ext-of and csl-of test their parts with; one function per tree."""
-    return lambda S: evaluate(S, e)
+    nil-ext-of and csl-of test their parts with; one function per tree,
+    its verdict on S kept in S's derived cache."""
+    return derived(lambda S: evaluate(S, e))

@@ -12,7 +12,7 @@ from conftest import (
     structure_tables,
 )
 from oseg import decomposition
-from oseg.core import full_mask, mask_of
+from oseg.core import OrderedSemigroup, full_mask, mask_of
 from oseg.decomposition import (
     MAX_PARTITION_ORDER,
     OrderTooLargeError,
@@ -257,8 +257,10 @@ class TestIsCompleteSemilatticeOf:
             return restrict(S, mask)
 
         monkeypatch.setattr(decomposition, "restrict", counting_restrict)
+        # a fresh N2: the shared fixture keeps the verdicts of earlier depths
+        fresh = OrderedSemigroup(N2.n, N2.table, N2.down)
         e = parse_property_expr("csl-of(" * depth + "simple" + ")" * depth)
-        assert not evaluate(N2, e)
+        assert not evaluate(fresh, e)
         assert len(calls) == depth
 
 

@@ -12,7 +12,7 @@ from conftest import (
     oracle_subsets,
     structure_tables,
 )
-from oseg.core import full_mask, mask_of
+from oseg.core import OrderedSemigroup, full_mask, mask_of
 from oseg.ideals import (
     EmptySubsetError,
     NotClosedError,
@@ -178,6 +178,43 @@ class TestRestrict:
                     for j, oj in enumerate(sub.embed):
                         assert st.leq(i, j) == S.leq(oi, oj)
                         assert sub.embed[st.mul(i, j)] == S.mul(oi, oj)
+
+
+class TestInterning:
+    """Equal substructures are one object; the whole set is S itself."""
+
+    @staticmethod
+    def null3(down) -> OrderedSemigroup:
+        return OrderedSemigroup(3, ((0, 0, 0),) * 3, down)
+
+    def test_equal_substructures_of_different_structures_are_one_object(self):
+        a = restrict(N2, mask_of([0])).structure
+        b = restrict(LZ2, mask_of([0])).structure
+        assert a == T1 and a is b
+        discrete = self.null3((1, 2, 4))
+        # {0, 2} of the discrete null semigroup is N2 without its order
+        assert restrict(discrete, mask_of([0, 2])).structure is restrict(
+            self.null3((1, 2, 4)), mask_of([0, 1])
+        ).structure
+
+    def test_whole_set_is_s(self, corpus3):
+        for S in corpus3:
+            r = restrict(S, full_mask(S.n))
+            assert r.structure is S
+            assert r.embed == tuple(range(S.n))
+
+    def test_whole_set_is_s_even_when_an_equal_one_is_interned(self):
+        interned = restrict(self.null3((1, 3, 4)), mask_of([0, 1])).structure
+        assert interned == N2
+        fresh = OrderedSemigroup(N2.n, N2.table, N2.down)
+        assert restrict(fresh, full_mask(2)).structure is fresh
+
+    def test_same_table_different_order_stays_distinct(self):
+        discrete = restrict(self.null3((1, 2, 4)), mask_of([0, 1])).structure
+        ordered = restrict(self.null3((1, 3, 4)), mask_of([0, 1])).structure
+        assert discrete.table == ordered.table
+        assert discrete.down == (1, 2) and ordered.down == (1, 3)
+        assert discrete is not ordered
 
 
 class TestAllIdeals:

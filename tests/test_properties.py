@@ -7,7 +7,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oseg import ideals, regularity, relations
+from oseg import decomposition, ideals, regularity, relations
+from oseg.enumeration import enumerate_ordered_semigroups
 from oseg.fixtures import FIXTURES, LZ2, N2, RZ2, SL2, T1
 from oseg.properties import (
     MAX_DEPTH,
@@ -23,6 +24,7 @@ from oseg.properties import (
     evaluate,
     parse_property_expr,
     to_text,
+    type_of,
 )
 
 ALL_ATOMS = [
@@ -208,3 +210,46 @@ class TestEvaluate:
         # class, which is not t-simple, so the exhaustive scan is reached
         with pytest.raises(OrderTooLargeError):
             evaluate(big, parse_property_expr("csl-of(t-simple)"))
+
+
+class TestMemoizedTypes:
+    def test_evaluator_runs_once_per_interned_substructure(self, monkeypatch):
+        """Every substructure a type is tested on gets one evaluation, though
+        nil-ext-of and csl-of restrict to equal subsets many times over."""
+        restricted = []
+        evaluated = []
+
+        def counting_restrict(S, mask):
+            restricted.append(mask)
+            return ideals.restrict(S, mask)
+
+        def counted(S):
+            evaluated.append(S)
+            return False
+
+        monkeypatch.setattr(decomposition, "restrict", counting_restrict)
+        monkeypatch.setitem(ATOMS, "counted", counted)
+        exprs = [
+            parse_property_expr(t)
+            for t in ("csl-of(counted)", "nil-ext-of(counted)", "csl-of(nil-ext-of(counted))")
+        ]
+        for S in enumerate_ordered_semigroups(3):
+            for e in exprs:
+                evaluate(S, e)
+        assert len(restricted) > len(evaluated) > 0
+        assert len({id(S) for S in evaluated}) == len(evaluated)
+        assert len({(S.table, S.down) for S in evaluated}) == len(evaluated)
+
+    def test_verdict_is_per_structure_not_per_table(self, corpus3):
+        """Structures sharing a table can differ on a type; each keeps its own."""
+        by_table: dict = {}
+        for S in corpus3:
+            by_table.setdefault(S.table, []).append(S)
+        differs = 0
+        for name in ALL_ATOMS:
+            tau = type_of(Atom(name))
+            for group in by_table.values():
+                verdicts = [tau(S) for S in group]
+                assert verdicts == [ATOMS[name](S) for S in group], name
+                differs += len(set(verdicts)) > 1
+        assert differs > 0

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
+import oseg
 from oseg.core import OrderedSemigroup, OrderTooLargeError, canonical_json
 from oseg.enumeration import enumerate_ordered_semigroups
 from oseg.fixtures import FIXTURES, LZ2, N2, RZ2, SL2, T1
@@ -147,6 +149,35 @@ class TestFixtureFacts:
         bundle = report_bundle(big)
         assert "skipped" in bundle["theorems"]["lem-cao"]
         assert bundle["theorems"]["thm-1005"]["verdict"] == "consistent"
+
+
+_BUNDLES_SCRIPT = """
+import json, sys
+from oseg.enumeration import enumerate_ordered_semigroups
+from oseg.theorems import report_bundle
+structures = [S for n in (1, 2, 3) for S in enumerate_ordered_semigroups(n)]
+order = range(len(structures))
+if sys.argv[1] == "reverse":
+    order = reversed(order)
+bundles = {i: json.dumps(report_bundle(structures[i]), sort_keys=True) for i in order}
+sys.stdout.write("".join(bundles[i] + "\\n" for i in range(len(structures))))
+"""
+
+
+def test_report_bundles_do_not_depend_on_what_was_interned_first():
+    """Substructures and type verdicts are shared across structures within a
+    process; computing the bundles of order <= 3 backwards changes no byte."""
+    src = os.path.dirname(os.path.dirname(oseg.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", _BUNDLES_SCRIPT, way],
+            capture_output=True, env=env, timeout=300, check=True,
+        ).stdout
+        for way in ("forward", "reverse")
+    ]
+    assert outs[0].count(b"\n") == 1 + 20 + 971
+    assert outs[0] == outs[1]
 
 
 def brandt_b2() -> OrderedSemigroup:
