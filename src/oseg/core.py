@@ -321,43 +321,29 @@ def _power_masks(S: OrderedSemigroup) -> tuple[Mask, ...]:
     return tuple(mask_of(row) for row in _powers(S))
 
 
-# per-element product sets; these realize the Sa, aS, SaS, aSa that the
-# ideal formulas are built from
-
 @derived
-def _aS(S: OrderedSemigroup) -> tuple[Mask, ...]:
-    full = full_mask(S.n)
-    return tuple(subset_product(S, 1 << a, full) for a in range(S.n))
+def _closed_products(S: OrderedSemigroup, flavor: str) -> tuple[Mask, ...]:
+    """(Sa], (aS], (aSa] or (SaS] of each element a, for the flavor "l",
+    "r", "t" or "two-sided"; the one place these sets are built.
 
-
-@derived
-def _Sa(S: OrderedSemigroup) -> tuple[Mask, ...]:
-    full = full_mask(S.n)
-    return tuple(subset_product(S, full, 1 << a) for a in range(S.n))
-
-
-@derived
-def _aSa(S: OrderedSemigroup) -> tuple[Mask, ...]:
-    table = S.table
-    rows = []
-    for a in range(S.n):
-        m = 0
-        for u in iter_mask(_aS(S)[a]):
-            m |= 1 << table[u][a]
-        rows.append(m)
-    return tuple(rows)
-
-
-@derived
-def _SaS(S: OrderedSemigroup) -> tuple[Mask, ...]:
-    asv = _aS(S)
-    rows = []
-    for a in range(S.n):
-        m = 0
-        for u in iter_mask(_Sa(S)[a]):
-            m |= asv[u]
-        rows.append(m)
-    return tuple(rows)
+    "l" and "r" come from the table.  Compatibility of the order gives
+    (aSa] = ((aS]a] and (SaS] = ((Sa]S], so "t" and "two-sided" are built
+    on the closed "r" and "l" vectors.
+    """
+    n, table = S.n, S.table
+    if flavor == "l":
+        products = [mask_of(row[a] for row in table) for a in range(n)]
+    elif flavor == "r":
+        products = [mask_of(row) for row in table]
+    elif flavor == "t":
+        right = _closed_products(S, "r")
+        products = [mask_of(table[u][a] for u in iter_mask(right[a])) for a in range(n)]
+    elif flavor == "two-sided":
+        left = _closed_products(S, "l")
+        products = [mask_of(x for u in iter_mask(left[a]) for x in table[u]) for a in range(n)]
+    else:
+        raise ValueError(f"unknown Archimedean flavor {flavor!r}")
+    return tuple(downset(S, m) for m in products)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,7 @@ from dataclasses import dataclass
 from .core import (
     Mask,
     OrderedSemigroup,
-    _aS,
-    _aSa,
-    _Sa,
-    _SaS,
+    _closed_products,
     derived,
     downset,
     full_mask,
@@ -19,11 +16,13 @@ from .core import (
     subset_product,
 )
 
-#: valid ideal kinds for principal_ideal / is_ideal
-KINDS = ("left", "right", "two-sided", "bi")
-
-#: valid kinds for is_simple ("t" = left and right simple)
-SIMPLE_KINDS = ("left", "right", "two-sided", "t")
+#: ideal kind -> the core._closed_products flavors its principal ideal adds to (a]
+_KIND_FLAVORS = {
+    "left": ("l",),
+    "right": ("r",),
+    "bi": ("t",),
+    "two-sided": ("l", "r", "two-sided"),
+}
 
 
 class EmptySubsetError(ValueError):
@@ -38,29 +37,21 @@ class NotClosedError(ValueError):
 
 @derived
 def _principal_vector(S: OrderedSemigroup, kind: str) -> tuple[Mask, ...]:
-    """principal ideal of each element, as one cached vector per kind.
+    """principal ideal of each element, as one cached vector per kind:
+    (a] joined with the kind's closed products.
 
     left   L(a) = (a u Sa]
     right  R(a) = (a u aS]
     two-sided  I(a) = (a u Sa u aS u SaS]
     bi     B(a) = (a u aSa]
     """
-    n = S.n
-    if kind == "left":
-        gens = _Sa(S)
-        return tuple(downset(S, 1 << a | gens[a]) for a in range(n))
-    if kind == "right":
-        gens = _aS(S)
-        return tuple(downset(S, 1 << a | gens[a]) for a in range(n))
-    if kind == "two-sided":
-        sa, as_, sas = _Sa(S), _aS(S), _SaS(S)
-        return tuple(
-            downset(S, 1 << a | sa[a] | as_[a] | sas[a]) for a in range(n)
-        )
-    if kind == "bi":
-        gens = _aSa(S)
-        return tuple(downset(S, 1 << a | gens[a]) for a in range(n))
-    raise ValueError(f"unknown ideal kind {kind!r}")
+    if kind not in _KIND_FLAVORS:
+        raise ValueError(f"unknown ideal kind {kind!r}")
+    vec = list(S.down)
+    for flavor in _KIND_FLAVORS[kind]:
+        for a, m in enumerate(_closed_products(S, flavor)):
+            vec[a] |= m
+    return tuple(vec)
 
 
 def principal_ideal(S: OrderedSemigroup, a: int, kind: str) -> Mask:

@@ -14,7 +14,7 @@ Membership conventions (these matter and are easy to get backwards):
 
 from __future__ import annotations
 
-from .core import Mask, OrderedSemigroup, _least_power_in, derived, full_mask
+from .core import Mask, OrderedSemigroup, _least_power_in, _power_masks, derived, full_mask, mask_of
 from .relations import _regular_mask, green
 
 
@@ -97,18 +97,9 @@ def _agree_mask(S: OrderedSemigroup, which: str) -> Mask:
     return m
 
 
-@derived
-def _pi_agree_witness(S: OrderedSemigroup, which: str) -> tuple[int | None, ...]:
-    """Per element: least m with a^m in _agree_mask."""
-    return _least_power_in(S, _agree_mask(S, which))
-
-
-def _witness_mask(witness: tuple[int | None, ...]) -> Mask:
-    m = 0
-    for a, w in enumerate(witness):
-        if w is not None:
-            m |= 1 << a
-    return m
+def _has_power_in(S: OrderedSemigroup, mask: Mask) -> Mask:
+    """The elements with some power a^m (m in 1..n) in mask."""
+    return mask_of(a for a, powers in enumerate(_power_masks(S)) if powers & mask)
 
 
 def rv_set(S: OrderedSemigroup, include_irregular: bool = False) -> Mask:
@@ -120,14 +111,12 @@ def rv_set(S: OrderedSemigroup, include_irregular: bool = False) -> Mask:
 
 def pi_rv_set(S: OrderedSemigroup, include_irregular: bool = False) -> Mask:
     """Elements with some power whose inverses are pairwise R-related."""
-    if include_irregular:
-        return _witness_mask(_least_power_in(S, rv_set(S, include_irregular=True)))
-    return _witness_mask(_pi_agree_witness(S, "R"))
+    return _has_power_in(S, rv_set(S, include_irregular))
 
 
 def pi_rv_witness(S: OrderedSemigroup) -> tuple[int | None, ...]:
     """Least exponent per element witnessing pi_rv_set membership."""
-    return _pi_agree_witness(S, "R")
+    return _least_power_in(S, rv_set(S))
 
 
 # The pi-inverse family needs no pi-regularity conjunct (see is_pi_regular).
@@ -138,12 +127,12 @@ def is_right_pi_inverse(S: OrderedSemigroup) -> bool:
 
 
 def is_left_pi_inverse(S: OrderedSemigroup) -> bool:
-    return _witness_mask(_pi_agree_witness(S, "L")) == full_mask(S.n)
+    return _has_power_in(S, _agree_mask(S, "L")) == full_mask(S.n)
 
 
 def is_pi_inverse(S: OrderedSemigroup) -> bool:
     """The H-related reading, the common refinement of left and right."""
-    return _witness_mask(_pi_agree_witness(S, "H")) == full_mask(S.n)
+    return _has_power_in(S, _agree_mask(S, "H")) == full_mask(S.n)
 
 
 def is_right_inverse(S: OrderedSemigroup) -> bool:

@@ -7,15 +7,12 @@ from dataclasses import dataclass
 from .core import (
     Mask,
     OrderedSemigroup,
-    _aS,
-    _aSa,
+    _closed_products,
     _power_masks,
     _powers,
-    _Sa,
-    _SaS,
     derived,
-    downset,
     full_mask,
+    mask_of,
     members,
 )
 from .ideals import _principal_vector
@@ -23,14 +20,9 @@ from .ideals import _principal_vector
 GREEN_KINDS = ("L", "R", "J", "H")
 STAR_KINDS = ("L*", "R*", "J*", "H*")
 
-#: Archimedean flavor -> the product set whose downward closure must
-#: swallow a power of every element: b^m in (Sa], (aS], (aSa], (SaS]
-ARCHIMEDEAN_FLAVORS = ("two-sided", "l", "r", "t")
-
 
 @dataclass(frozen=True)
 class EquivalenceRelation:
-    which: str
     rows: tuple[Mask, ...]  # rows[i] = mask of j related to i
 
     def related(self, i: int, j: int) -> bool:
@@ -71,7 +63,7 @@ def green(S: OrderedSemigroup, which: str) -> EquivalenceRelation:
     else:
         kind = {"L": "left", "R": "right", "J": "two-sided"}[which]
         rows = _rows_from_keys(list(_principal_vector(S, kind)))
-    return EquivalenceRelation(which, rows)
+    return EquivalenceRelation(rows)
 
 
 @derived
@@ -98,7 +90,7 @@ def green_star(S: OrderedSemigroup, which: str) -> EquivalenceRelation:
         reps = _star_reps(S)
         base = green(S, which[0])
         rows = _rows_from_keys([base.rows[reps[a]] for a in range(S.n)])
-    return EquivalenceRelation(which, rows)
+    return EquivalenceRelation(rows)
 
 
 def divides(S: OrderedSemigroup, a: int, b: int) -> bool:
@@ -108,28 +100,9 @@ def divides(S: OrderedSemigroup, a: int, b: int) -> bool:
 
 
 @derived
-def _archimedean_targets(S: OrderedSemigroup, flavor: str) -> tuple[Mask, ...]:
-    if flavor == "two-sided":
-        vec = _SaS(S)
-    elif flavor == "l":
-        vec = _Sa(S)
-    elif flavor == "r":
-        vec = _aS(S)
-    elif flavor == "t":
-        vec = _aSa(S)
-    else:
-        raise ValueError(f"unknown Archimedean flavor {flavor!r}")
-    return tuple(downset(S, m) for m in vec)
-
-
-@derived
 def _regular_mask(S: OrderedSemigroup) -> Mask:
     """The regular elements: a in (aSa]."""
-    m = 0
-    for a, asa in enumerate(_archimedean_targets(S, "t")):
-        if asa >> a & 1:
-            m |= 1 << a
-    return m
+    return mask_of(a for a, asa in enumerate(_closed_products(S, "t")) if asa >> a & 1)
 
 
 @derived
@@ -140,6 +113,6 @@ def is_archimedean(S: OrderedSemigroup, flavor: str) -> bool:
     over m in 1..n is exhaustive because the distinct powers of b all
     occur in that range.
     """
-    targets = _archimedean_targets(S, flavor)
+    targets = _closed_products(S, flavor)
     pows = _power_masks(S)
     return all(pows[b] & targets[a] for a in range(S.n) for b in range(S.n))

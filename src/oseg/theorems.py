@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import ideals
-from .core import Mask, OrderedSemigroup, _SaS, downset, iter_mask, mask_of, members
+from .core import Mask, OrderedSemigroup, downset, iter_mask, mask_of, members
 from .decomposition import (
     MAX_PARTITION_ORDER,
     _check_order,
@@ -340,10 +340,16 @@ def _eval_cor_simple(S: OrderedSemigroup):
     rpi = is_right_pi_inverse(S)
     E = ordered_idempotents(S)
     ne = nil_extension_of_type(S, TAU_SIMPLE_RPI)
-    # condition (iv) spelled out by definition, independent of the cached
-    # path that condition (v) takes through is_archimedean
+    # condition (iv) spelled out by definition, independent of the closed
+    # products that condition (v) reads through is_archimedean: (SbS] is
+    # the downset of the union over s of the row set (sb)S
+    row_masks = [mask_of(row) for row in S.table]
+    sbs = [0] * S.n
+    for row in S.table:  # row s holds sb for every b
+        for b, sb in enumerate(row):
+            sbs[b] |= row_masks[sb]
+    targets = [downset(S, m) for m in sbs]
     pow_masks = _raw_power_masks(S)
-    targets = [downset(S, m) for m in _SaS(S)]
     iv = all(pow_masks[a] & targets[b] for a in range(S.n) for b in range(S.n))
     conditions = {
         "i_nilext_simple_rpi": ne.found,

@@ -207,9 +207,7 @@ class TestIndependentSides:
         a witness that finds nothing must surface as a counterexample."""
         import oseg.regularity
 
-        monkeypatch.setattr(
-            oseg.regularity, "_pi_agree_witness", lambda S, which: (None,) * S.n
-        )
+        monkeypatch.setattr(oseg.regularity, "_agree_mask", lambda S, which: 0)
         fresh = OrderedSemigroup(T1.n, T1.table, T1.down)
         rep = check(fresh, "thm-15")
         assert rep.verdict == "COUNTEREXAMPLE"
@@ -217,6 +215,24 @@ class TestIndependentSides:
             "i_right_pi_inverse": False,
             "ii_some_power_has_r_related_inverses": True,
         }
+
+    def test_cor_simple_catches_a_broken_closure(self, monkeypatch):
+        """Condition iv of cor-simple builds (SbS] from the table, so (SaS]
+        closed products that lose every element must surface as a
+        counterexample through condition v alone."""
+        import oseg.relations
+
+        closed = oseg.relations._closed_products
+        monkeypatch.setattr(
+            oseg.relations,
+            "_closed_products",
+            lambda S, flavor: (0,) * S.n if flavor == "two-sided" else closed(S, flavor),
+        )
+        fresh = OrderedSemigroup(T1.n, T1.table, T1.down)
+        rep = check(fresh, "cor-simple")
+        assert rep.verdict == "COUNTEREXAMPLE"
+        assert rep.conditions["iv_rpi_and_powers_reach_sbs"] is True
+        assert rep.conditions["v_rpi_and_archimedean"] is False
 
 
 class TestExhaustiveConsistency:
