@@ -54,12 +54,15 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def is_csl_congruence(S: OrderedSemigroup, class_of: tuple[int, ...]) -> bool:
-    """Congruence-style checker: compatible + semilattice + complete."""
+    """Congruence-style checker: complete (a ~ ab for a <= b, so a ~ a2, the
+    cheapest rejection, first) + semilattice + compatible."""
     n, table = S.n, S.table
     cls = class_of
     for a in range(n):
-        if cls[a] != cls[table[a][a]]:
-            return False
+        for b in range(n):
+            if S.down[b] >> a & 1 and cls[a] != cls[table[a][b]]:
+                return False
+    for a in range(n):
         for b in range(n):
             if cls[table[a][b]] != cls[table[b][a]]:
                 return False
@@ -72,10 +75,6 @@ def is_csl_congruence(S: OrderedSemigroup, class_of: tuple[int, ...]) -> bool:
                     return False
                 if cls[table[a][c]] != cls[table[b][c]]:
                     return False
-    for a in range(n):
-        for b in range(n):
-            if S.down[b] >> a & 1 and cls[a] != cls[table[a][b]]:
-                return False
     return True
 
 
@@ -161,7 +160,7 @@ def congruence_partition(S: OrderedSemigroup, class_of: tuple[int, ...]) -> Cong
 
 @derived
 def least_complete_semilattice_congruence(S: OrderedSemigroup) -> CongruencePartition:
-    """Closure of the seed pairs (a,a2), (ab,ba), and (a,ab) for a <= b.
+    """Closure of the seed pairs (ab,ba) and (a,ab) for a <= b (b = a gives (a,a2)).
 
     Union-find with a work queue: every successful merge of (x, y)
     enqueues (cx, cy) and (xc, yc) for all c, which is exactly
@@ -178,7 +177,6 @@ def least_complete_semilattice_congruence(S: OrderedSemigroup) -> CongruencePart
 
     queue: list[tuple[int, int]] = []
     for a in range(n):
-        queue.append((a, table[a][a]))
         for b in range(n):
             queue.append((table[a][b], table[b][a]))
             if S.down[b] >> a & 1:

@@ -2,9 +2,12 @@
 
 Tables are generated cell by cell in row-major order with incremental
 associativity pruning; every completed triple is checked the moment its
-last table entry appears.  Compatible partial orders then extend the
-discrete order pair by pair with transitivity and compatibility
-propagation, each order emitted exactly once.
+last table entry appears.  Under dedup "iso" a prefix is also pruned once
+some renaming of the elements makes it lexicographically smaller
+(lex-leader pruning), so only tables that are their own least relabeling
+are built.  Compatible partial orders then extend the discrete order pair
+by pair on one explicit stack, closing each added pair under
+transitivity and compatibility; each order is emitted exactly once.
 
 The combined stream is resumable: a cursor records the last emitted
 table, how many of its orders were already consumed, and the emission
@@ -22,7 +25,7 @@ from functools import cache
 from itertools import permutations
 from typing import Iterator, Sequence
 
-from .core import Mask, OrderedSemigroup, OrderTooLargeError, iter_mask
+from .core import Mask, OrderedSemigroup, OrderTooLargeError, iter_mask, mask_of
 
 MAX_ENUM_ORDER = 5
 
@@ -90,26 +93,46 @@ def enumerate_tables(
     n: int,
     first_row: Sequence[int] | None = None,
     resume_table: Sequence[int] | None = None,
+    dedup: str = "raw",
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All associative n x n tables, in lexicographic order of flat cells.
+    """All associative n x n tables, in lexicographic order of flat cells;
+    under dedup "iso" only those that are their own least relabeling.
 
     first_row pins row 0 (used to partition the search across workers).
     resume_table makes the stream start at that flat table (inclusive),
     skipping everything lexicographically below it.
+
+    Under "iso" each non-identity renaming carries the first flat index where
+    its relabeling of the assigned prefix is undecided against the prefix
+    (lex-leader pruning): one decided larger is dropped, one decided
+    smaller prunes the subtree, as every completion has a smaller relabeling.
     """
     _check_order(n)
     t = [[-1] * n for _ in range(n)]
-    cells = [(i, j) for i in range(n) for j in range(n)]
+    flat = [-1] * (n * n)
+    renamings = [(0, p, c) for _, p, c in _renamings(n)[1:]] if dedup == "iso" else []
 
     if first_row is not None:
         if len(first_row) != n or any(not 0 <= v < n for v in first_row):
             raise ValueError(f"first_row must be {n} values in [0,{n})")
 
-    def rec(pos: int, tight: bool) -> Iterator[tuple[tuple[int, ...], ...]]:
+    def undecided(pos: int, live: list) -> list | None:
+        """The renamings still undecided once flat[pos] is set, or None if one makes it smaller."""
+        out = []
+        for k, p, c in live:
+            while k <= pos and c[k] <= pos and p[flat[c[k]]] == flat[k]:
+                k += 1
+            if k > pos or c[k] > pos:
+                out.append((k, p, c))
+            elif p[flat[c[k]]] < flat[k]:
+                return None
+        return out
+
+    def rec(pos: int, tight: bool, live: list) -> Iterator[tuple[tuple[int, ...], ...]]:
         if pos == n * n:
             yield tuple(tuple(row) for row in t)
             return
-        a, b = cells[pos]
+        a, b = divmod(pos, n)
         lo = 0
         if tight and resume_table is not None:
             lo = resume_table[pos]
@@ -118,76 +141,92 @@ def enumerate_tables(
         else:
             values = range(lo, n)
         for v in values:
-            t[a][b] = v
+            t[a][b] = flat[pos] = v
             if _assoc_ok(t, n, a, b):
-                yield from rec(pos + 1, tight and v == lo)
-            t[a][b] = -1
+                rest = undecided(pos, live) if live else live
+                if rest is not None:
+                    yield from rec(pos + 1, tight and v == lo, rest)
+            t[a][b] = flat[pos] = -1
 
-    yield from rec(0, resume_table is not None)
+    yield from rec(0, resume_table is not None, renamings)
 
 
 # ---------------------------------------------------------------------------
 # compatible partial orders
 
 
-def _close_over(
-    table: Sequence[Sequence[int]],
-    n: int,
-    down: list[Mask],
-    up: list[Mask],
-    forbidden: Mask,
-    i0: int,
-    j0: int,
-) -> bool:
-    """Add i0 <= j0 and close under transitivity and compatibility.
-
-    down/up are updated in place; returns False on contradiction
-    (antisymmetry break or a pair that was already excluded).
-    """
-    queue = [(i0, j0)]
-    while queue:
-        i, j = queue.pop()
-        if i == j or down[j] >> i & 1:
-            continue
-        if down[i] >> j & 1:  # j <= i already: antisymmetry
-            return False
-        if forbidden >> (i * n + j) & 1:
-            return False
-        down[j] |= 1 << i
-        up[i] |= 1 << j
-        for k in iter_mask(up[j]):
-            queue.append((i, k))
-        for k in iter_mask(down[i]):
-            queue.append((k, j))
-        for x in range(n):
-            queue.append((table[x][i], table[x][j]))
-            queue.append((table[i][x], table[j][x]))
-    return True
+@cache
+def _image_masks(row: tuple[int, ...]) -> tuple[Mask, ...]:
+    """Per mask m, the mask of the row[x] for x in m: x·m for a table row x, m·x for a column."""
+    return tuple(mask_of(row[x] for x in iter_mask(m)) for m in range(1 << len(row)))
 
 
 def enumerate_compatible_orders(table: Sequence[Sequence[int]]) -> Iterator[tuple[Mask, ...]]:
-    """Every partial order compatible with the table, as down-mask tuples.
+    """Every partial order compatible with the table, as down-mask tuples
+    (down[j] is the mask of i with i <= j), the discrete order first.
 
-    down[j] is the mask of i with i <= j.  The discrete order comes
-    first; each order is emitted exactly once (the branch decisions are
-    determined by the order itself).
-    """
+    Each pair i != j not yet forced is excluded, then included with its
+    closure: the walk follows the exclude chain to an emission and leaves
+    the include branches on one stack, closed when popped.  The decisions
+    are determined by the order, so each order is emitted once."""
     n = len(table)
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    rows = [_image_masks(tuple(row)) for row in table]
+    cols = [_image_masks(col) for col in zip(*table)]
+    # targets[c]: each x·c and c·x with the image masks that carry c's down set there
+    targets = [[(row[c], image) for row, image in zip(table, rows)]
+               + [(y, image) for y, image in zip(table[c], cols)] for c in range(n)]
 
-    def rec(idx: int, down: list[Mask], up: list[Mask], forbidden: Mask):
-        while idx < len(pairs) and down[pairs[idx][1]] >> pairs[idx][0] & 1:
-            idx += 1  # already forced in by an earlier closure
-        if idx == len(pairs):
-            yield tuple(down)
-            return
-        i, j = pairs[idx]
-        yield from rec(idx + 1, down, up, forbidden | 1 << (i * n + j))
-        down2, up2 = down.copy(), up.copy()
-        if _close_over(table, n, down2, up2, forbidden, i, j):
-            yield from rec(idx + 1, down2, up2, forbidden)
+    def close(down: list[Mask], forbidden: Mask, i: int, j: int) -> bool:
+        """Add i <= j to down in place, closed under transitivity and
+        compatibility; False on a cycle or on a <= c that forbidden's bit
+        c*n + a excludes.  Each step raises one down[c] by a mask and its
+        members' down masks, and hands what it added to the elements above
+        c and to c's products."""
+        work = [(j, down[i])]
+        while work:
+            c, add = work.pop()
+            old = down[c]
+            new = add & ~old
+            if not new:
+                continue
+            m = old | new
+            while new:
+                low = new & -new
+                m |= down[low.bit_length() - 1]
+                new ^= low
+            if forbidden >> c * n & m:
+                return False
+            down[c] = m
+            new = m ^ old
+            for u in range(n):
+                if u != c and down[u] >> c & 1:
+                    if m >> u & 1 or forbidden >> u * n & new:
+                        return False
+                    work.append((u, new))
+            for y, image in targets[c]:
+                add = image[new]
+                if add & ~down[y]:
+                    if forbidden >> y * n & add:
+                        return False
+                    work.append((y, add))
+        return True
 
-    yield from rec(0, [1 << i for i in range(n)], [1 << i for i in range(n)], 0)
+    stack: list = [(0, [1 << i for i in range(n)], 0, -1, -1)]
+    while stack:
+        start, down, forbidden, i, j = stack.pop()
+        if i >= 0:
+            down = down.copy()
+            if not close(down, forbidden, i, j):
+                continue
+        for k in range(start, len(pairs)):
+            i, j = pairs[k]
+            if down[j] >> i & 1:
+                continue  # already forced in by an earlier closure
+            if not (down[i] >> j & 1 or forbidden >> j * n & down[i]):  # else fails at once
+                stack.append((k + 1, down, forbidden, i, j))
+            forbidden |= 1 << (j * n + i)
+        yield tuple(down)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +247,9 @@ def _renamings(n: int) -> list[tuple[tuple[int, ...], list[int], list[int]]]:
 def _least_relabelings(table) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """(least flat relabeling of the table, every renaming q reaching it),
     each candidate dropped at its first cell above the least so far.  For a
-    table that is its own least relabeling the q are Aut(table), identity first."""
+    table that is its own least relabeling the q are Aut(table), identity
+    first.  Used for canonical_form and for Aut of the least tables that
+    enumerate_tables builds under dedup "iso"."""
     flat = [v for row in table for v in row]
     least = tuple(flat)
     reach: list[tuple[int, ...]] = []
@@ -357,16 +398,12 @@ class StructureStream:
     def _run(self, cursor: EnumerationCursor, first_row) -> Iterator[OrderedSemigroup]:
         n = self.n
         resume_table, skip_orders = cursor.table, cursor.orders_done
-        for table in enumerate_tables(n, first_row=first_row, resume_table=resume_table):
+        for table in enumerate_tables(n, first_row, resume_table, self.dedup):
             flat = tuple(v for row in table for v in row)
             resuming_here = resume_table is not None and flat == tuple(resume_table)
             resume_table = None
-            automorphisms: list = []
-            if self.dedup == "iso":  # a least table, then down masks least under Aut(table)
-                least, automorphisms = _least_relabelings(table)
-                if least != flat:
-                    continue
-                del automorphisms[0]  # the identity
+            # under iso the table is least; an order is kept unless an automorphism lowers it
+            automorphisms = _least_relabelings(table)[1][1:] if self.dedup == "iso" else []
             consumed = 0
             for down in enumerate_compatible_orders(table):
                 consumed += 1

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import ideals
-from .core import Mask, OrderedSemigroup, downset, iter_mask, mask_of, members
+from .core import Mask, OrderedSemigroup, derived, downset, iter_mask, mask_of, members
 from .decomposition import (
     MAX_PARTITION_ORDER,
     _check_order,
@@ -85,11 +85,13 @@ def _implication_on(rel_a, rel_b, mask: Mask) -> bool:
     return all(rel_a.rows[i] & mask & ~rel_b.rows[i] == 0 for i in iter_mask(mask))
 
 
+@derived
 def _raw_power_masks(S: OrderedSemigroup) -> list[Mask]:
     """Per element, the mask of a^1..a^n, straight from the table.
 
     For conditions that restate a cached one independently; sharing
-    core._powers would collapse the equivalence they check.
+    core._powers would collapse the equivalence they check.  Those
+    conditions only read it, so they share one copy.
     """
     pow_masks = [0] * S.n
     for a in range(S.n):
@@ -313,9 +315,13 @@ def _eval_thm_1005(S: OrderedSemigroup):
     rpi = is_right_pi_inverse(S)
     pinv = is_pi_inverse(S)
     E = ordered_idempotents(S)
-    t_arch = is_archimedean(S, "t")
     ne_left = nil_extension_of_type(S, TAU_LEFT_SIMPLE_RPI)
     ne_t = nil_extension_of_type(S, TAU_T_SIMPLE_RPI)
+    # (viii) rebuilds t-Archimedean from the table, independent of the
+    # closed products (vii) reads: (aSa] is the downset of the row set aSa
+    table, pow_masks = S.table, _raw_power_masks(S)
+    asa = [downset(S, mask_of(table[x][a] for x in table[a])) for a in range(S.n)]
+    t_arch = all(pow_masks[b] & asa[a] for a in range(S.n) for b in range(S.n))
     conditions = {
         "i_nilext_left_simple_rpi": ne_left.found,
         "ii_rpi_and_l_archimedean": rpi and is_archimedean(S, "l"),
@@ -324,7 +330,7 @@ def _eval_thm_1005(S: OrderedSemigroup):
         # the pi-regular conjunct holds on every finite structure
         "v_pi_regular_and_idempotents_hstar": _pairwise_related(green_star(S, "H*").rows, E),
         "vi_pi_regular_and_hstar_universal": green_star(S, "H*").is_universal(),
-        "vii_pi_inverse_and_t_archimedean": pinv and t_arch,
+        "vii_pi_inverse_and_t_archimedean": pinv and is_archimedean(S, "t"),
         "viii_rpi_and_t_archimedean": rpi and t_arch,
         "ix_nilext_t_simple_rpi": ne_t.found,
     }

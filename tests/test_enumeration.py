@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import sys
 from collections import Counter
-from itertools import islice
+from itertools import islice, product
 from math import factorial
 
 import pytest
@@ -37,6 +38,22 @@ TABLE_COUNTS = {1: 1, 2: 8, 3: 113, 4: 3492}
 # (iso classes, raw structures) per order; the order-4 raw count is the
 # one perfbench/golden/o4.json pins
 ISO_COUNTS = {2: (11, 20), 3: (173, 971), 4: (4753, 107688)}
+
+# the whole `enumerate --order 5 --dedup iso` output: lines, distinct tables
+# (OEIS A001423), sha256
+O5_ISO = (198838, 1915, "5e618776dff4573f83a8e5af7f281d978122bafc17734865554a138d97a1c05a")
+
+
+def perfbench_modules():
+    """perfbench's goldens, oracle and workloads modules."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    try:
+        import goldens
+        import oracle
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return goldens, oracle, workloads
 
 
 def key(S: OrderedSemigroup) -> tuple:
@@ -78,6 +95,28 @@ class TestTables:
         with pytest.raises(OrderTooLargeError):
             list(enumerate_tables(6))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_iso_builds_exactly_the_least_tables(self, n):
+        """Lex-leader pruning keeps, in stream order, the tables that the
+        oracle finds least among their relabelings, and only those."""
+        discrete = [[i == j for j in range(n)] for i in range(n)]
+        least = [
+            t for t in enumerate_tables(n)
+            if tuple(v for row in t for v in row) == min(oracle_relabelings(t, discrete))[0]
+        ]
+        assert list(enumerate_tables(n, dedup="iso")) == least
+
+    def test_iso_first_row_and_resume_table(self):
+        """Pruning keeps its meaning under a pinned first row and a resume
+        table: each gives the least tables the unpinned stream has there."""
+        least = list(enumerate_tables(4, dedup="iso"))
+        for row in product(range(4), repeat=4):
+            pinned = [t for t in least if t[0] == row]
+            assert list(enumerate_tables(4, first_row=row, dedup="iso")) == pinned
+        for k in (1, 57, 187):
+            flat = [v for row in least[k] for v in row]
+            assert list(enumerate_tables(4, resume_table=flat, dedup="iso")) == least[k:]
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_order_below_one_is_not_the_cap(self, n):
         with pytest.raises(ValueError, match="order must be >= 1") as exc:
@@ -100,22 +139,67 @@ class TestCompatibleOrders:
             downs = list(enumerate_compatible_orders(t))
             assert tuple(1 << i for i in range(3)) in downs
 
+    @staticmethod
+    def assert_matches_filter_oracle(n):
+        """Edge-extension generation equals filtering all posets, each order once."""
+        posets = list(oracle_all_orders(n))
+        for t in enumerate_tables(n):
+            got = list(enumerate_compatible_orders(t))
+            expected = [
+                tuple(sum(1 << i for i in range(n) if leq[i][j]) for j in range(n))
+                for leq in posets
+                if oracle_compatible(t, leq)
+            ]
+            assert sorted(got) == sorted(expected)
+            assert len(set(got)) == len(got)
+
     def test_matches_filter_oracle(self):
-        """Edge-extension generation equals filtering all posets, n <= 3."""
         for n in (1, 2, 3):
-            for t in enumerate_tables(n):
-                got = sorted(enumerate_compatible_orders(t))
-                expected = []
-                for leq in oracle_all_orders(n):
-                    if oracle_compatible(t, leq):
-                        expected.append(
-                            tuple(
-                                sum(1 << i for i in range(n) if leq[i][j])
-                                for j in range(n)
-                            )
-                        )
-                assert got == sorted(expected)
-                assert len(set(got)) == len(got)
+            self.assert_matches_filter_oracle(n)
+
+    @pytest.mark.slow
+    def test_matches_filter_oracle_order_4(self):
+        """All 3492 order-4 tables against the 219 posets (about 10 s)."""
+        self.assert_matches_filter_oracle(4)
+
+    def test_emission_order_matches_order_4_golden(self):
+        """Per first row, the raw stream's (tables, structures, digest) and
+        the iso stream's digest equal perfbench/golden/o4.json, which pins
+        the order every structure comes out in."""
+        goldens, oracle, _ = perfbench_modules()
+        golden = goldens.load("o4")["rows"]
+        for dedup in ("raw", "iso"):
+            rows = {}
+            for S in enumerate_ordered_semigroups(4, dedup=dedup):
+                row = rows.setdefault(goldens.row_key(S.table[0]), [set(), 0, oracle.digest()])
+                row[0].add(S.table)
+                row[1] += 1
+                row[2].update(canonical_json(S).encode() + b"\n")
+            if dedup == "raw":
+                got = {k: (len(t), c, d.hexdigest()) for k, (t, c, d) in rows.items()}
+                want = {k: (g["tables"], g["structures"], g["digest"]) for k, g in golden.items()}
+            else:
+                got = {k: d.hexdigest() for k, (_, _, d) in rows.items()}
+                want = {k: g["iso_digest"] for k, g in golden.items() if g["iso_structures"]}
+            assert got == want, dedup
+
+    def test_emission_order_matches_order_5_golden(self):
+        """The 48 first rows of the two order-5 relabeling classes that the
+        enum-o5-raw workload runs: (tables, structures, digest) per row
+        equal perfbench/golden/o5.json."""
+        goldens, oracle, workloads = perfbench_modules()
+        golden = goldens.load("o5")["rows"]
+        rows = sorted(r for c in workloads.EnumO5Raw.classes for r in workloads.relabeling_class(c))
+        assert len(rows) == 48
+        for row in rows:
+            d = oracle.digest()
+            tables, count = set(), 0
+            for S in enumerate_ordered_semigroups(5, first_row=row):
+                tables.add(S.table)
+                count += 1
+                d.update(canonical_json(S).encode() + b"\n")
+            g = golden[goldens.row_key(row)]
+            assert (len(tables), count, d.hexdigest()) == (g["tables"], g["structures"], g["digest"])
 
     def test_poset_counts_on_null_and_left_zero_tables(self):
         """Every poset is compatible with the null and left-zero tables, so
@@ -256,12 +340,7 @@ def test_iso_sweep_reproduces_raw_sweep(monkeypatch):
     the classes give the raw sweep's histogram and per-entry totals."""
     from oseg import cli, theorems
 
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
-    try:
-        import goldens
-        import oracle
-    finally:
-        sys.path.pop(0)
+    goldens, oracle, _ = perfbench_modules()
     golden = goldens.load("o4")
     cat = golden["catalog"]
     ids = cat["ids"]
@@ -338,8 +417,33 @@ class TestResume:
         assert head + tail == full
         assert cursor.emitted == stop
 
+    def test_iso_resume_from_a_mid_stream_least_table(self):
+        """An iso checkpoint names a least table; resuming there, part way
+        through its orders, gives the rest of the order-4 iso stream."""
+        full = [canonical_json(S) for S in enumerate_ordered_semigroups(4, dedup="iso")]
+        stream = enumerate_ordered_semigroups(4, dedup="iso")
+        head = [canonical_json(S) for S in islice(stream, 2377)]
+        cursor = EnumerationCursor.from_json(stream.cursor.to_json())
+        assert cursor.orders_done > 1  # part way through the table's orders
+        resumed = enumerate_ordered_semigroups(4, dedup="iso", cursor=cursor)
+        assert head + [canonical_json(S) for S in resumed] == full
+
     def test_cursor_mismatch_rejected(self):
         stream = enumerate_ordered_semigroups(2)
         next(stream)
         with pytest.raises(ValueError):
             enumerate_ordered_semigroups(3, cursor=stream.cursor)
+
+
+@pytest.mark.slow
+def test_order_5_iso_stream():
+    """`enumerate --order 5 --dedup iso`, byte for byte: 198838 classes on
+    the 1915 least tables, built without the 181817 tables that are not."""
+    lines, tables, sha = O5_ISO
+    h = hashlib.sha256()
+    count, distinct = 0, set()
+    for S in enumerate_ordered_semigroups(5, dedup="iso"):
+        h.update(canonical_json(S).encode() + b"\n")
+        distinct.add(S.table)
+        count += 1
+    assert (count, len(distinct), h.hexdigest()) == (lines, tables, sha)

@@ -11,10 +11,13 @@ from __future__ import annotations
 from collections import Counter
 
 from oseg.core import OrderedSemigroup
+from oseg.decomposition import is_complete_semilattice_of, nil_extension_of_type
 from oseg.enumeration import enumerate_ordered_semigroups
 from oseg.ideals import is_simple
 from oseg.properties import ATOMS
-from oseg.theorems import check_all
+from oseg.regularity import is_left_pi_inverse
+from oseg.relations import is_archimedean
+from oseg.theorems import check, check_all
 
 OP_STRIDE_4 = 7  # every 7th order-4 structure
 
@@ -64,6 +67,44 @@ def test_opposite_swaps_the_dual_atoms():
                 assert decide(S) == DUAL.get(name, ATOMS[name])(T), (name, S)
         checked += 1
     assert checked == 992 + 15384
+
+
+def _right_simple(T: OrderedSemigroup) -> bool:
+    return is_simple(T, "right")
+
+
+def _right_simple_lpi(T: OrderedSemigroup) -> bool:
+    return is_simple(T, "right") and is_left_pi_inverse(T)
+
+
+def _nilext_right_simple(T: OrderedSemigroup) -> bool:
+    return nil_extension_of_type(T, _right_simple).found
+
+
+def _nilext_right_simple_lpi(T: OrderedSemigroup) -> bool:
+    return nil_extension_of_type(T, _right_simple_lpi).found
+
+
+def _r_archimedean(T: OrderedSemigroup) -> bool:
+    return is_archimedean(T, "r")
+
+
+def test_cor_leftsimple_on_the_opposite_is_its_right_hand_dual(corpus3):
+    """cor-leftsimple on S^op equals, condition by condition, its dual on S:
+    a complete semilattice of nil-extensions of right simple left
+    pi-inverse ones, iff of nil-extensions of right simple ones and left
+    pi-inverse, iff left pi-inverse and a complete semilattice of
+    r-Archimedean ones."""
+    for S in corpus3:
+        lpi = is_left_pi_inverse(S)
+        dual = [
+            is_complete_semilattice_of(S, _nilext_right_simple_lpi).holds,
+            is_complete_semilattice_of(S, _nilext_right_simple).holds and lpi,
+            lpi and is_complete_semilattice_of(S, _r_archimedean).holds,
+        ]
+        rep = check(opposite(S), "cor-leftsimple")
+        assert list(rep.conditions.values()) == dual, S
+        assert rep.consistent == (len(set(dual)) == 1), S
 
 
 def _catalog_shape(S: OrderedSemigroup) -> list:

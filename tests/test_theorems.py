@@ -234,6 +234,25 @@ class TestIndependentSides:
         assert rep.conditions["iv_rpi_and_powers_reach_sbs"] is True
         assert rep.conditions["v_rpi_and_archimedean"] is False
 
+    def test_thm_1005_catches_a_broken_closure(self, monkeypatch):
+        """Condition viii of thm-1005 builds (aSa] from the table, so (aSa]
+        closed products that keep only a itself (the regular elements stay
+        the same) must surface as a counterexample through condition vii alone."""
+        import oseg.relations
+
+        closed = oseg.relations._closed_products
+
+        def broken(S, flavor):
+            products = closed(S, flavor)
+            return tuple(m & 1 << a for a, m in enumerate(products)) if flavor == "t" else products
+
+        monkeypatch.setattr(oseg.relations, "_closed_products", broken)
+        fresh = OrderedSemigroup(N2.n, N2.table, N2.down)
+        rep = check(fresh, "thm-1005")
+        assert rep.verdict == "COUNTEREXAMPLE"
+        assert rep.conditions["vii_pi_inverse_and_t_archimedean"] is False
+        assert rep.conditions["viii_rpi_and_t_archimedean"] is True
+
 
 class TestExhaustiveConsistency:
     def test_order_up_to_3(self, corpus3):
