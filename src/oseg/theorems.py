@@ -114,10 +114,7 @@ TAU_LEFT_SIMPLE_PI_INV = _type("left-simple & pi-inverse")
 TAU_T_SIMPLE_PI_INV = _type("t-simple & pi-inverse")
 TAU_SIMPLE_PI_INV = _type("simple & pi-inverse")
 TAU_T_SIMPLE = _type("t-simple")
-TAU_SIMPLE = _type("simple")
-TAU_LEFT_SIMPLE = _type("left-simple")
 TAU_RIGHT_INVERSE = _type("right-inverse")
-TAU_ARCHIMEDEAN = _type("archimedean")
 
 
 def _equiv_violation(conditions: dict[str, bool]) -> dict | None:

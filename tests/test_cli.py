@@ -345,7 +345,7 @@ class TestVerify:
             def __exit__(self, *exc):
                 return False
 
-            def imap(self, func, tasks):
+            def imap(self, func, tasks, chunksize):
                 return map(func, tasks)
 
         class FakeContext:
@@ -357,6 +357,17 @@ class TestVerify:
         code, capped = run(capsys, "verify", "--order", "3", "--jobs", "64")
         assert asked == [2]
         assert code == 0 and capped == sequential
+
+    @pytest.mark.parametrize("dedup", ["raw", "iso"])
+    def test_limit_byte_identical_on_a_pool(self, capsys, dedup):
+        """--limit runs on the spawn pool too: the bound check pickles, and
+        the 500 structures (173 classes under iso) span several chunks."""
+        argv = ("verify", "--order", "3", "--all", "--dedup", dedup, "--limit", "500")
+        _, sequential = run(capsys, *argv, "--jobs", "1")
+        _, parallel = run(capsys, *argv, "--jobs", "2")
+        total = {"raw": 500, "iso": 173}[dedup]
+        assert parallel == sequential and f"structures={total}\n" in parallel
+        assert total > cli.CHUNK
 
     def test_limit_documented(self, capsys):
         code, out = run(capsys, "verify", "--order", "3", "--theorem", "thm-1005", "--limit", "50")

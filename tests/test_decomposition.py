@@ -30,17 +30,13 @@ from oseg.decomposition import (
 from oseg.enumeration import enumerate_ordered_semigroups
 from oseg.fixtures import LZ2, N2, RZ2, SL2, T1
 from oseg.ideals import restrict
-from oseg.properties import evaluate, parse_property_expr
+from oseg.properties import evaluate, parse_property_expr, type_of
 from oseg.regularity import is_right_pi_inverse
-from oseg.theorems import (
-    TAU_ARCHIMEDEAN,
-    TAU_LEFT_SIMPLE,
-    TAU_RIGHT_INVERSE,
-    TAU_SIMPLE,
-    TAU_SIMPLE_RPI,
-    TAU_T_SIMPLE,
-    TAU_T_SIMPLE_RPI,
-)
+from oseg.theorems import TAU_RIGHT_INVERSE, TAU_SIMPLE_RPI, TAU_T_SIMPLE, TAU_T_SIMPLE_RPI
+
+TAU_SIMPLE = type_of(parse_property_expr("simple"))
+TAU_LEFT_SIMPLE = type_of(parse_property_expr("left-simple"))
+TAU_ARCHIMEDEAN = type_of(parse_property_expr("archimedean"))
 
 
 def TAU_NE_T_SIMPLE_RPI(S):

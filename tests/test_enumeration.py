@@ -7,7 +7,8 @@ import os
 import random
 import sys
 from collections import Counter
-from itertools import islice, product
+from functools import partial
+from itertools import islice, permutations, product
 from math import factorial
 
 import pytest
@@ -359,7 +360,8 @@ def test_iso_sweep_reproduces_raw_sweep(monkeypatch):
 
     monkeypatch.setattr(theorems, "precondition_unmet", recording_unmet)
     monkeypatch.setattr(theorems, "check", recording_check)
-    count, _ = cli._run_catalog((4, "iso", ids, None, None))
+    check_structure = partial(cli._check_structure, ids)
+    count = sum(1 for _ in map(check_structure, enumerate_ordered_semigroups(4, dedup="iso")))
     assert count == len(reports) == ISO_COUNTS[4][0]
 
     signatures, index = goldens.catalog_signatures(golden)
@@ -438,12 +440,29 @@ class TestResume:
 @pytest.mark.slow
 def test_order_5_iso_stream():
     """`enumerate --order 5 --dedup iso`, byte for byte: 198838 classes on
-    the 1915 least tables, built without the 181817 tables that are not."""
+    the 1915 least tables, built without the 181817 tables that are not.
+    Orbit-stabilizer: the classes' orbits, 5!/|Aut(S)| each with Aut(S)
+    found by brute force, add up to the raw count in perfbench/golden/o5.json."""
     lines, tables, sha = O5_ISO
+    goldens, _, _ = perfbench_modules()
+    raw = sum(row["structures"] for row in goldens.load("o5")["rows"].values())
     h = hashlib.sha256()
-    count, distinct = 0, set()
+    count, distinct, orbits = 0, set(), 0
     for S in enumerate_ordered_semigroups(5, dedup="iso"):
         h.update(canonical_json(S).encode() + b"\n")
-        distinct.add(S.table)
+        if S.table not in distinct:  # a least table's orders come in one run
+            distinct.add(S.table)
+            table_aut = [
+                p
+                for p in permutations(range(5))
+                if all(p[S.mul(x, y)] == S.mul(p[x], p[y]) for x in range(5) for y in range(5))
+            ]
+        aut = [
+            p
+            for p in table_aut
+            if all(S.leq(x, y) == S.leq(p[x], p[y]) for x in range(5) for y in range(5))
+        ]
+        orbits += factorial(5) // len(aut)
         count += 1
     assert (count, len(distinct), h.hexdigest()) == (lines, tables, sha)
+    assert orbits == raw == 22774522
