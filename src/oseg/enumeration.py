@@ -157,7 +157,8 @@ def enumerate_tables(
 
 @cache
 def _image_masks(row: tuple[int, ...]) -> tuple[Mask, ...]:
-    """Per mask m, the mask of the row[x] for x in m: x·m for a table row x, m·x for a column."""
+    """Per mask m, the image of m under the map x -> row[x]: x·m for a table
+    row x, m·x for a column, and m renamed for a renaming's inverse."""
     return tuple(mask_of(row[x] for x in iter_mask(m)) for m in range(1 << len(row)))
 
 
@@ -234,51 +235,32 @@ def enumerate_compatible_orders(table: Sequence[Sequence[int]]) -> Iterator[tupl
 
 
 @cache
-def _renamings(n: int) -> list[tuple[tuple[int, ...], list[int], list[int]]]:
+def _renamings(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], list[int]]]:
     """(q, p, cells) per renaming, the identity first: q[a] is the old name of
     a, p is q's inverse, and relabeled flat cell k is p[flat[cells[k]]]."""
     out = []
     for q in permutations(range(n)):
-        p = sorted(range(n), key=q.__getitem__)
+        p = tuple(sorted(range(n), key=q.__getitem__))
         out.append((q, p, [x * n + y for x in q for y in q]))
     return out
 
 
-def _least_relabelings(table) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """(least flat relabeling of the table, every renaming q reaching it),
-    each candidate dropped at its first cell above the least so far.  For a
-    table that is its own least relabeling the q are Aut(table), identity
-    first.  Used for canonical_form and for Aut of the least tables that
-    enumerate_tables builds under dedup "iso"."""
-    flat = [v for row in table for v in row]
-    least = tuple(flat)
-    reach: list[tuple[int, ...]] = []
-    for q, p, cells in _renamings(len(table)):
-        for k, i in enumerate(cells):
-            v = p[flat[i]]
-            if v != least[k]:
-                break
-        else:
-            reach.append(q)
-            continue
-        if v < least[k]:
-            least = tuple(p[flat[i]] for i in cells)
-            reach = [q]
-    return least, reach
-
-
-def _renamed_down(down: Sequence[Mask], q: Sequence[int]) -> tuple[Mask, ...]:
-    """Down masks after renaming q: new a <= new b iff q[a] <= q[b]."""
-    return tuple(sum((down[y] >> x & 1) << a for a, x in enumerate(q)) for y in q)
+def _renamed_down(down: Sequence[Mask], q: Sequence[int], p: tuple[int, ...]) -> tuple[Mask, ...]:
+    """Down masks after renaming q (inverse p): new down[b] is p's image of down[q[b]]."""
+    image = _image_masks(p)
+    return tuple(image[down[y]] for y in q)
 
 
 def canonical_form(S: OrderedSemigroup) -> OrderedSemigroup:
     """The least relabeling of S under (flat table, down masks), shared by
-    isomorphic structures: the least table, then its least down masks."""
+    isomorphic structures: the least table, then the least down masks of
+    the renamings that reach it."""
     n = S.n
-    flat, renamings = _least_relabelings(S.table)
-    down = min(_renamed_down(S.down, q) for q in renamings)
-    return OrderedSemigroup(n, tuple(flat[i * n : (i + 1) * n] for i in range(n)), down)
+    flat = [v for row in S.table for v in row]
+    relabeled = [(tuple(p[flat[i]] for i in cells), q, p) for q, p, cells in _renamings(n)]
+    least = min(t for t, _, _ in relabeled)
+    down = min(_renamed_down(S.down, q, p) for t, q, p in relabeled if t == least)
+    return OrderedSemigroup(n, tuple(least[i * n : (i + 1) * n] for i in range(n)), down)
 
 
 def is_canonical(S: OrderedSemigroup) -> bool:
@@ -398,18 +380,20 @@ class StructureStream:
     def _run(self, cursor: EnumerationCursor, first_row) -> Iterator[OrderedSemigroup]:
         n = self.n
         resume_table, skip_orders = cursor.table, cursor.orders_done
+        renamings = _renamings(n)[1:] if self.dedup == "iso" else []
         for table in enumerate_tables(n, first_row, resume_table, self.dedup):
             flat = tuple(v for row in table for v in row)
             resuming_here = resume_table is not None and flat == tuple(resume_table)
             resume_table = None
             # under iso the table is least; an order is kept unless an automorphism lowers it
-            automorphisms = _least_relabelings(table)[1][1:] if self.dedup == "iso" else []
+            automorphisms = [(q, p) for q, p, cells in renamings
+                             if all(p[flat[c]] == v for c, v in zip(cells, flat))]
             consumed = 0
             for down in enumerate_compatible_orders(table):
                 consumed += 1
                 if resuming_here and consumed <= skip_orders:
                     continue
-                if automorphisms and any(_renamed_down(down, q) < down for q in automorphisms):
+                if automorphisms and any(_renamed_down(down, q, p) < down for q, p in automorphisms):
                     continue
                 S = OrderedSemigroup(n, table, down)
                 self._table = flat

@@ -276,9 +276,12 @@ class TestCanonicalForm:
             assert canonical_form(c) == c
 
     def test_random_relabelings_collide(self, corpus3):
+        """Random relabelings of order <= 3 structures, and of every 50th of the
+        first 3000 order-5 classes, each its own canonical form, map back."""
         rng = random.Random(7)
-        sample = rng.sample(corpus3, 60)
-        for S in sample:
+        o5 = list(islice(enumerate_ordered_semigroups(5, dedup="iso"), 0, 3000, 50))
+        assert len(o5) == 60 and all(canonical_form(S) == S for S in o5)
+        for S in rng.sample(corpus3, 60) + o5:
             perm = list(range(S.n))
             rng.shuffle(perm)
             table = [[0] * S.n for _ in range(S.n)]
