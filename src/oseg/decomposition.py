@@ -54,18 +54,15 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def is_csl_congruence(S: OrderedSemigroup, class_of: tuple[int, ...]) -> bool:
-    """Congruence-style checker: complete (a ~ ab for a <= b, so a ~ a2, the
-    cheapest rejection, first) + semilattice + compatible."""
+    """Congruence-style checker: a complete semilattice congruence is exactly
+    a compatible partition containing the least one (the correspondence
+    theorem), so a split class of the least one, the cheapest test, goes first."""
     n, table = S.n, S.table
     cls = class_of
-    for a in range(n):
-        for b in range(n):
-            if S.down[b] >> a & 1 and cls[a] != cls[table[a][b]]:
-                return False
-    for a in range(n):
-        for b in range(n):
-            if cls[table[a][b]] != cls[table[b][a]]:
-                return False
+    image: dict[int, int] = {}
+    least = least_complete_semilattice_congruence(S).class_of
+    if any(image.setdefault(c, cls[a]) != cls[a] for a, c in enumerate(least)):
+        return False
     for a in range(n):
         for b in range(a + 1, n):
             if cls[a] != cls[b]:
@@ -190,14 +187,18 @@ def least_complete_semilattice_congruence(S: OrderedSemigroup) -> CongruencePart
         for c in range(n):
             queue.append((table[c][x], table[c][y]))
             queue.append((table[x][c], table[y][c]))
-    return congruence_partition(S, tuple(find(a) for a in range(n)))
+    return _partition(tuple(find(a) for a in range(n)))
 
 
 @derived
 def all_complete_semilattice_congruences(S: OrderedSemigroup) -> list[CongruencePartition]:
-    """Brute-force partition scan; requires order <= 6."""
+    """Every compatible partition holding the least congruence, in partition
+    order: the partitions of its classes pulled back to the elements (classes
+    numbered by least member, so pulling back keeps the order); order <= 6."""
     _check_order(S.n)
-    return [_partition(p) for p in partitions(S.n) if is_csl_congruence(S, p)]
+    least = least_complete_semilattice_congruence(S).class_of
+    pulled = (tuple(q[c] for c in least) for q in partitions(max(least) + 1))
+    return [_partition(p) for p in pulled if is_csl_congruence(S, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +255,7 @@ def nil_extension_ideal_exists(
     without a simplicity component, where the kernel shortcut is wrong.
     """
     _check_order(S.n)
-    for K in all_ideals(S, "two-sided"):
+    for K in all_ideals(S):
         if is_nil_extension(S, K).ok and tau(restrict(S, K).structure):
             return K
     return None

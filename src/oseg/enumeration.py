@@ -98,7 +98,7 @@ def enumerate_tables(
     """All associative n x n tables, in lexicographic order of flat cells;
     under dedup "iso" only those that are their own least relabeling.
 
-    first_row pins row 0 (used to partition the search across workers).
+    first_row pins row 0.
     resume_table makes the stream start at that flat table (inclusive),
     skipping everything lexicographically below it.
 

@@ -158,9 +158,10 @@ def _proper_restriction(S: OrderedSemigroup, mask: Mask) -> Restriction:
     return Restriction(structure=_INTERNED.setdefault(sub, sub), embed=tuple(elems))
 
 
-def all_ideals(S: OrderedSemigroup, kind: str = "two-sided") -> list[Mask]:
-    """Every ideal of the kind, by subset scan, sorted by (size, mask)."""
-    n = S.n
-    out = [m for m in range(1, 1 << n) if is_ideal(S, m, kind)]
-    out.sort(key=lambda m: (m.bit_count(), m))
-    return out
+@derived
+def all_ideals(S: OrderedSemigroup) -> list[Mask]:
+    """Every two-sided ideal, a nonempty union of principal ones, by (size, mask)."""
+    out = {0}
+    for v in _principal_vector(S, "two-sided"):
+        out |= {m | v for m in out}
+    return sorted(out - {0}, key=lambda m: (m.bit_count(), m))

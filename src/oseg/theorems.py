@@ -42,7 +42,7 @@ from .regularity import (
     regular_elements,
     rv_set,
 )
-from .relations import divides, green, green_star, is_archimedean
+from .relations import green, green_star, is_archimedean
 
 
 class UnknownTheoremError(KeyError):
@@ -228,7 +228,7 @@ def _eval_lem_cao(S: OrderedSemigroup):
     pow_masks = _raw_power_masks(S)
     conditions: dict[str, bool] = {}
     bad = []
-    for K in ideals.all_ideals(S, "two-sided"):
+    for K in ideals.all_ideals(S):
         key = _ideal_key(K)
         nil = is_nil_extension(S, K).ok
         lands = all(pow_masks[a] & K for a in range(S.n))
@@ -244,17 +244,10 @@ def _eval_lem_ne51(S: OrderedSemigroup):
     rv = rv_set(S)
     table = S.table
     rng = range(S.n)
-    cond_i = all(
-        not divides(S, a, c) or divides(S, table[a][a], c)
-        for a in rng
-        for c in iter_mask(rv)
-    )
-    cond_ii = all(
-        not (divides(S, a, c) and divides(S, b, c)) or divides(S, table[a][b], c)
-        for a in rng
-        for b in rng
-        for c in iter_mask(rv)
-    )
+    # a | c iff c lies in the principal two-sided ideal of a
+    divided = [ideals.principal_ideal(S, a, "two-sided") for a in rng]
+    cond_i = all(divided[a] & rv & ~divided[table[a][a]] == 0 for a in rng)
+    cond_ii = all(divided[a] & divided[b] & rv & ~divided[table[a][b]] == 0 for a in rng for b in rng)
     conditions = {"i_square_divides": cond_i, "ii_product_divides": cond_ii}
     witnesses = {"rv_set": members(rv)}
     return conditions, witnesses, _equiv_violation(conditions)
@@ -294,7 +287,7 @@ def _eval_lem_ne53(S: OrderedSemigroup):
     # never false: an idempotent is regular (see regularity.is_pi_regular)
     conditions: dict[str, bool] = {"regular_elements_exist": regular_elements(S) != 0}
     failures = []
-    for K in ideals.all_ideals(S, "two-sided"):
+    for K in ideals.all_ideals(S):
         if not is_nil_extension(S, K).ok:
             continue
         key = _ideal_key(K)

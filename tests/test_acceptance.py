@@ -239,6 +239,9 @@ def test_criterion_7_decomposition_dual_definition(corpus3):
             least = least_complete_semilattice_congruence(S)
             for p in all_complete_semilattice_congruences(S):
                 assert least.refines(p)
+            assert [p.class_of for p in all_complete_semilattice_congruences(S)] == [
+                p for p in partitions(S.n) if family_conditions_hold(S, p)
+            ]
     except BaseException:
         passed = False
         raise

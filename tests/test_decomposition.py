@@ -16,6 +16,7 @@ from oseg.core import OrderedSemigroup, full_mask, mask_of
 from oseg.decomposition import (
     MAX_PARTITION_ORDER,
     OrderTooLargeError,
+    _partition,
     all_complete_semilattice_congruences,
     congruence_partition,
     family_conditions_hold,
@@ -159,12 +160,18 @@ class TestLeastCongruence:
         for S in corpus3:
             p = least_complete_semilattice_congruence(S)
             assert is_csl_congruence(S, p.class_of)
+            assert family_conditions_hold(S, p.class_of)
 
     def test_least_among_all(self, corpus3):
         for S in corpus3:
             least = least_complete_semilattice_congruence(S)
             for p in all_complete_semilattice_congruences(S):
                 assert least.refines(p), (S, p.classes_as_lists())
+            # the scan starts from the least congruence, so refines holds by
+            # construction; the family-style reference scans every partition
+            assert all_complete_semilattice_congruences(S) == [
+                _partition(p) for p in partitions(S.n) if family_conditions_hold(S, p)
+            ], S
 
     def test_classes_multiplicatively_closed(self, corpus3):
         for S in corpus3:
@@ -274,4 +281,7 @@ class TestOrderFourInvariants:
                 assert least.refines(p)
                 for cmask in p.classes:
                     restrict(S, cmask)
+            assert all_complete_semilattice_congruences(S) == [
+                _partition(p) for p in partitions(S.n) if family_conditions_hold(S, p)
+            ]
         assert count == 107688

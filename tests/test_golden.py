@@ -3,7 +3,8 @@
 The files under tests/golden/ pin the deterministic stdout of
 
 * ``verify --order 3 --all``;
-* ``analyze --json`` for each of the five fixtures;
+* ``analyze --json`` and ``analyze`` (text) for each of the five
+  fixtures, and ``analyze --rv-vacuous`` (text) for N2;
 * ``search --order 3 --count`` for each of the 14 atoms, one
   ``<atom> <stdout>`` line per atom.
 
@@ -29,7 +30,13 @@ from oseg.properties import ATOMS
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
-CASES = ["verify-o3-all.txt", *(f"analyze-{name}.json" for name in FIXTURES), "search-o3-count.txt"]
+CASES = [
+    "verify-o3-all.txt",
+    *(f"analyze-{name}.json" for name in FIXTURES),
+    *(f"analyze-{name}.txt" for name in FIXTURES),
+    "analyze-N2-rv-vacuous.txt",
+    "search-o3-count.txt",
+]
 
 
 def _stdout(*argv: str) -> str:
@@ -49,11 +56,14 @@ def produce(case: str, workdir: str) -> str:
             f"{atom} " + _stdout("search", "--order", "3", "--where", atom, "--count")
             for atom in ATOMS
         )
-    name = case[len("analyze-") : -len(".json")]
+    # analyze-<fixture>[-<option>].<json|txt>
+    stem, ext = os.path.splitext(case[len("analyze-") :])
+    name, _, option = stem.partition("-")
+    options = ("--json",) if ext == ".json" else (f"--{option}",) if option else ()
     path = os.path.join(workdir, name + ".json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(FIXTURES[name]) + "\n")
-    return _stdout("analyze", path, "--json")
+    return _stdout("analyze", path, *options)
 
 
 @pytest.mark.parametrize("case", CASES)

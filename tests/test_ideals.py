@@ -221,8 +221,9 @@ class TestAllIdeals:
     def test_sl2(self):
         assert [mask_set(m) for m in all_ideals(SL2)] == [{0}, {0, 1}]
 
-    def test_sorted_and_complete(self, corpus2):
-        for S in corpus2:
+    def test_sorted_and_complete(self, corpus3):
+        """Against the subset scan on every structure of order <= 3 (corpus2 included)."""
+        for S in corpus3:
             table, leq = structure_tables(S)
             expected = sorted(
                 (mask_of(A) for A in oracle_subsets(S.n) if A and oracle_is_ideal(table, leq, A, "two-sided")),

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import oseg
+from conftest import oracle_divides, oracle_rv_set, structure_tables
 from oseg.core import OrderedSemigroup, OrderTooLargeError, canonical_json
 from oseg.enumeration import enumerate_ordered_semigroups
 from oseg.fixtures import FIXTURES, LZ2, N2, RZ2, SL2, T1
@@ -199,6 +200,30 @@ class TestLemNe51Shape:
         assert rep.conditions == {"i_square_divides": False, "ii_product_divides": False}
         assert rep.verdict == "consistent"
         assert rep.witnesses == {"rv_set": [0, 1, 2, 3, 4]}
+
+    def test_sides_by_definition(self, corpus3):
+        """Both sides from oracle_divides over oracle_rv_set, on every order <= 3
+        structure and on B2, where both are false."""
+        for S in [*corpus3, brandt_b2()]:
+            table, leq = structure_tables(S)
+            rv = oracle_rv_set(table, leq)
+            rng = range(S.n)
+
+            def div(a, c):
+                return oracle_divides(table, leq, a, c)
+
+            expected = {
+                "i_square_divides": all(
+                    not div(a, c) or div(table[a][a], c) for a in rng for c in rv
+                ),
+                "ii_product_divides": all(
+                    not (div(a, c) and div(b, c)) or div(table[a][b], c)
+                    for a in rng
+                    for b in rng
+                    for c in rv
+                ),
+            }
+            assert check(S, "lem-ne51").conditions == expected, S
 
 
 class TestIndependentSides:
