@@ -35,7 +35,16 @@ def mask_of(elements: Iterable[int]) -> Mask:
     return m
 
 
-def iter_mask(mask: Mask) -> Iterator[int]:
+#: the members of every mask below 1 << 6, which covers every scan capped at order 6
+_MEMBERS = tuple(tuple(i for i in range(6) if m >> i & 1) for m in range(1 << 6))
+
+
+def iter_mask(mask: Mask) -> Iterable[int]:
+    """The members of mask, least first."""
+    return _MEMBERS[mask] if mask < 64 else _iter_bits(mask)
+
+
+def _iter_bits(mask: Mask) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -160,6 +169,9 @@ class OrderedSemigroup:
         self._cache = {}
 
 
+_MISSING = object()
+
+
 def derived(f: Callable) -> Callable:
     """Memoize ``f(S, *args)`` in ``S._cache``; the only user of that cache.
 
@@ -171,11 +183,10 @@ def derived(f: Callable) -> Callable:
     def get(S: OrderedSemigroup, *args):
         cache = S._cache
         key = (f, *args) if args else f
-        try:
-            return cache[key]
-        except KeyError:
+        value = cache.get(key, _MISSING)
+        if value is _MISSING:  # cheaper than catching a KeyError on a first call
             value = cache[key] = f(S, *args)
-            return value
+        return value
 
     return get
 
@@ -331,16 +342,20 @@ def _closed_products(S: OrderedSemigroup, flavor: str) -> tuple[Mask, ...]:
     on the closed "r" and "l" vectors.
     """
     n, table = S.n, S.table
+    products = [0] * n
     if flavor == "l":
-        products = [mask_of(row[a] for row in table) for a in range(n)]
+        products = [mask_of(column) for column in zip(*table)]
     elif flavor == "r":
         products = [mask_of(row) for row in table]
     elif flavor == "t":
-        right = _closed_products(S, "r")
-        products = [mask_of(table[u][a] for u in iter_mask(right[a])) for a in range(n)]
+        for a, us in enumerate(_closed_products(S, "r")):
+            for u in iter_mask(us):
+                products[a] |= 1 << table[u][a]
     elif flavor == "two-sided":
-        left = _closed_products(S, "l")
-        products = [mask_of(x for u in iter_mask(left[a]) for x in table[u]) for a in range(n)]
+        rows = [mask_of(row) for row in table]
+        for a, us in enumerate(_closed_products(S, "l")):
+            for u in iter_mask(us):
+                products[a] |= rows[u]
     else:
         raise ValueError(f"unknown Archimedean flavor {flavor!r}")
     return tuple(downset(S, m) for m in products)

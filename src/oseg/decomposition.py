@@ -56,23 +56,15 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
 def is_csl_congruence(S: OrderedSemigroup, class_of: tuple[int, ...]) -> bool:
     """Congruence-style checker: a complete semilattice congruence is exactly
     a compatible partition containing the least one (the correspondence
-    theorem), so a split class of the least one, the cheapest test, goes first."""
-    n, table = S.n, S.table
-    cls = class_of
-    image: dict[int, int] = {}
-    least = least_complete_semilattice_congruence(S).class_of
-    if any(image.setdefault(c, cls[a]) != cls[a] for a, c in enumerate(least)):
+    theorem), so a split class of the least one, the cheapest test, goes
+    first.  Compatibility is then checked on the quotient S/least, a
+    semilattice, so left multiplication covers both sides."""
+    least = least_complete_semilattice_congruence(S)
+    q = [class_of[least.class_of.index(c)] for c in range(len(least.classes))]
+    if any(class_of[a] != q[c] for a, c in enumerate(least.class_of)):
         return False
-    for a in range(n):
-        for b in range(a + 1, n):
-            if cls[a] != cls[b]:
-                continue
-            for c in range(n):
-                if cls[table[c][a]] != cls[table[c][b]]:
-                    return False
-                if cls[table[a][c]] != cls[table[b][c]]:
-                    return False
-    return True
+    joined = [(c, d) for d in range(len(q)) for c in range(d) if q[c] == q[d]]
+    return all(q[row[c]] == q[row[d]] for row in _quotient_table(S) for c, d in joined)
 
 
 def family_conditions_hold(S: OrderedSemigroup, class_of: tuple[int, ...]) -> bool:
@@ -148,46 +140,50 @@ def _partition(class_of: tuple[int, ...]) -> CongruencePartition:
     return CongruencePartition(cls, tuple(cmask))
 
 
-def congruence_partition(S: OrderedSemigroup, class_of: tuple[int, ...]) -> CongruencePartition:
-    """Package a complete semilattice congruence; rejects anything else."""
-    if not is_csl_congruence(S, class_of):
-        raise ValueError("not a complete semilattice congruence")
-    return _partition(class_of)
-
-
 @derived
 def least_complete_semilattice_congruence(S: OrderedSemigroup) -> CongruencePartition:
     """Closure of the seed pairs (ab,ba) and (a,ab) for a <= b (b = a gives (a,a2)).
 
-    Union-find with a work queue: every successful merge of (x, y)
-    enqueues (cx, cy) and (xc, yc) for all c, which is exactly
-    compatibility closure.
+    Each class carries the label of one of its members.  The seeds merge
+    labels; then every element a is compared with its label r, merging
+    the classes of ca and cr and of ac and rc for all c, until a whole
+    pass merges nothing, which is exactly compatibility closure.
     """
     n, table = S.n, S.table
-    parent = list(range(n))
+    label = list(range(n))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def merge(x: int, y: int) -> bool:
+        lx, ly = label[x], label[y]
+        if lx == ly:
+            return False
+        for i in range(n):
+            if label[i] == ly:
+                label[i] = lx
+        return True
 
-    queue: list[tuple[int, int]] = []
     for a in range(n):
         for b in range(n):
-            queue.append((table[a][b], table[b][a]))
+            merge(table[a][b], table[b][a])
             if S.down[b] >> a & 1:
-                queue.append((a, table[a][b]))
-    while queue:
-        x, y = queue.pop()
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        parent[ry] = rx
-        for c in range(n):
-            queue.append((table[c][x], table[c][y]))
-            queue.append((table[x][c], table[y][c]))
-    return _partition(tuple(find(a) for a in range(n)))
+                merge(a, table[a][b])
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n):
+            r = label[a]
+            if r != a:
+                for c in range(n):
+                    changed |= merge(table[c][a], table[c][r])
+                    changed |= merge(table[a][c], table[r][c])
+    return _partition(tuple(label))
+
+
+@derived
+def _quotient_table(S: OrderedSemigroup) -> tuple[tuple[int, ...], ...]:
+    """The multiplication table of S/least on the least congruence's class ids."""
+    least = least_complete_semilattice_congruence(S)
+    reps = [least.class_of.index(c) for c in range(len(least.classes))]
+    return tuple(tuple(least.class_of[S.table[x][y]] for y in reps) for x in reps)
 
 
 @derived
@@ -227,6 +223,20 @@ class NilExtensionOutcome:
     exponents: tuple[int | None, ...] | None
 
 
+@derived
+def _kernel_exponents(S: OrderedSemigroup) -> tuple[int | None, ...]:
+    """is_nil_extension(S, kernel(S)).exponents, the kernel being an ideal:
+    S is a nil-extension of its kernel iff None is not among them."""
+    return _least_power_in(S, kernel(S))
+
+
+@derived
+def nil_extension_ideals(S: OrderedSemigroup) -> tuple[Mask, ...]:
+    """Every ideal K with S a nil-extension of K, in all_ideals order; order <= 6."""
+    _check_order(S.n)
+    return tuple(K for K in all_ideals(S) if is_nil_extension(S, K).ok)
+
+
 def nil_extension_of_type(
     S: OrderedSemigroup, tau: Callable[[OrderedSemigroup], bool]
 ) -> NilExtensionOutcome:
@@ -237,13 +247,12 @@ def nil_extension_of_type(
     kernel); the test suite cross-checks this shortcut against the
     exhaustive scan at small orders.
     """
-    K = kernel(S)
-    ne = is_nil_extension(S, K)
-    if not ne.ok:
-        return NilExtensionOutcome(False, None, "kernel-not-nil", ne.exponents)
+    K, exps = kernel(S), _kernel_exponents(S)
+    if None in exps:
+        return NilExtensionOutcome(False, None, "kernel-not-nil", exps)
     if not tau(restrict(S, K).structure):
-        return NilExtensionOutcome(False, None, "type-fails", ne.exponents)
-    return NilExtensionOutcome(True, K, None, ne.exponents)
+        return NilExtensionOutcome(False, None, "type-fails", exps)
+    return NilExtensionOutcome(True, K, None, exps)
 
 
 def nil_extension_ideal_exists(
@@ -254,9 +263,8 @@ def nil_extension_ideal_exists(
     Exhaustive over all ideals, so capped at order 6.  Needed for types
     without a simplicity component, where the kernel shortcut is wrong.
     """
-    _check_order(S.n)
-    for K in all_ideals(S):
-        if is_nil_extension(S, K).ok and tau(restrict(S, K).structure):
+    for K in nil_extension_ideals(S):
+        if tau(restrict(S, K).structure):
             return K
     return None
 

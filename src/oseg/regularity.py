@@ -109,9 +109,16 @@ def rv_set(S: OrderedSemigroup, include_irregular: bool = False) -> Mask:
     return _agree_mask(S, "R")
 
 
+@derived
+def _pi_rv_mask(S: OrderedSemigroup) -> Mask:
+    return _has_power_in(S, rv_set(S))
+
+
 def pi_rv_set(S: OrderedSemigroup, include_irregular: bool = False) -> Mask:
     """Elements with some power whose inverses are pairwise R-related."""
-    return _has_power_in(S, rv_set(S, include_irregular))
+    if include_irregular:
+        return _has_power_in(S, rv_set(S, True))
+    return _pi_rv_mask(S)
 
 
 def pi_rv_witness(S: OrderedSemigroup) -> tuple[int | None, ...]:
@@ -120,21 +127,26 @@ def pi_rv_witness(S: OrderedSemigroup) -> tuple[int | None, ...]:
 
 
 # The pi-inverse family needs no pi-regularity conjunct (see is_pi_regular).
+# Each verdict is derived: the catalog asks for it many times per structure.
 
+@derived
 def is_right_pi_inverse(S: OrderedSemigroup) -> bool:
     """Some power of each element has R-related inverses."""
     return pi_rv_set(S) == full_mask(S.n)
 
 
+@derived
 def is_left_pi_inverse(S: OrderedSemigroup) -> bool:
     return _has_power_in(S, _agree_mask(S, "L")) == full_mask(S.n)
 
 
+@derived
 def is_pi_inverse(S: OrderedSemigroup) -> bool:
     """The H-related reading, the common refinement of left and right."""
     return _has_power_in(S, _agree_mask(S, "H")) == full_mask(S.n)
 
 
+@derived
 def is_right_inverse(S: OrderedSemigroup) -> bool:
     """Every element regular with pairwise R-related inverses; rv_set
     already leaves out the irregular elements, whose V(a) is empty."""

@@ -25,8 +25,8 @@ from .decomposition import (
     _check_order,
     all_complete_semilattice_congruences,
     is_complete_semilattice_of,
-    is_nil_extension,
     nil_extension_ideal_exists,
+    nil_extension_ideals,
     nil_extension_of_type,
 )
 from .properties import parse_property_expr, type_of
@@ -226,11 +226,12 @@ def _eval_lem_cao(S: OrderedSemigroup):
     # condition (ii) recomputes the power condition from the raw table;
     # sharing is_nil_extension's loop would collapse the equivalence check
     pow_masks = _raw_power_masks(S)
+    nil_ideals = nil_extension_ideals(S)
     conditions: dict[str, bool] = {}
     bad = []
     for K in ideals.all_ideals(S):
         key = _ideal_key(K)
-        nil = is_nil_extension(S, K).ok
+        nil = K in nil_ideals
         lands = all(pow_masks[a] & K for a in range(S.n))
         conditions[key + ".i_nil_extension"] = nil
         conditions[key + ".ii_every_power_lands"] = lands
@@ -287,9 +288,7 @@ def _eval_lem_ne53(S: OrderedSemigroup):
     # never false: an idempotent is regular (see regularity.is_pi_regular)
     conditions: dict[str, bool] = {"regular_elements_exist": regular_elements(S) != 0}
     failures = []
-    for K in ideals.all_ideals(S):
-        if not is_nil_extension(S, K).ok:
-            continue
+    for K in nil_extension_ideals(S):
         key = _ideal_key(K)
         inside = rv & ~K == 0
         lclasses_ok = all(lrow & ~K == 0 for lrow in lrel.rows if lrow & rv)

@@ -230,6 +230,12 @@ def oracle_rv_set_vacuous(table, leq) -> set:
     }
 
 
+def oracle_pi_rv_set(table, leq) -> set:
+    """Some power of a has V nonempty and pairwise R-related."""
+    rv = oracle_rv_set(table, leq)
+    return {a for a in range(len(table)) if oracle_power_values(table, a) & rv}
+
+
 def oracle_pi_rv_set_vacuous(table, leq) -> set:
     """Some power of a has V empty or pairwise R-related."""
     rv = oracle_rv_set_vacuous(table, leq)
@@ -335,6 +341,43 @@ def oracle_nil_extension(table, leq, K) -> bool:
     if not oracle_is_ideal(table, leq, K, "two-sided"):
         return False
     return all(oracle_power_values(table, a) & K for a in range(len(table)))
+
+
+def oracle_partitions(n):
+    """Every partition of range(n) as a class-id vector whose ids appear in
+    order of first use, lexicographically: the vectors of product(range(n))
+    that never skip an id."""
+    for labels in product(range(n), repeat=n):
+        if all(c <= max(labels[:i], default=-1) + 1 for i, c in enumerate(labels)):
+            yield labels
+
+
+def oracle_csl_congruences(table, leq) -> list[tuple]:
+    """Every complete semilattice congruence, in oracle_partitions order,
+    from the definition: an equivalence compatible on both sides with
+    ab ~ ba, a ~ a*a, and a ~ ab whenever a <= b."""
+    n = len(table)
+    rng = range(n)
+    out = []
+    for cls in oracle_partitions(n):
+        if (
+            all(
+                cls[table[a][b]] == cls[table[b][a]]
+                and (not leq[a][b] or cls[a] == cls[table[a][b]])
+                for a in rng
+                for b in rng
+            )
+            and all(cls[a] == cls[table[a][a]] for a in rng)
+            and all(
+                cls[a] != cls[b]
+                or (cls[table[c][a]] == cls[table[c][b]] and cls[table[a][c]] == cls[table[b][c]])
+                for a in rng
+                for b in rng
+                for c in rng
+            )
+        ):
+            out.append(cls)
+    return out
 
 
 def oracle_relabelings(table, leq) -> list[tuple]:

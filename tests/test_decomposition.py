@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 
 from conftest import (
     mask_set,
+    oracle_csl_congruences,
     oracle_is_ideal,
     oracle_nil_extension,
     oracle_power,
@@ -18,19 +21,19 @@ from oseg.decomposition import (
     OrderTooLargeError,
     _partition,
     all_complete_semilattice_congruences,
-    congruence_partition,
     family_conditions_hold,
     is_complete_semilattice_of,
     is_csl_congruence,
     is_nil_extension,
     least_complete_semilattice_congruence,
     nil_extension_ideal_exists,
+    nil_extension_ideals,
     nil_extension_of_type,
     partitions,
 )
 from oseg.enumeration import enumerate_ordered_semigroups
 from oseg.fixtures import LZ2, N2, RZ2, SL2, T1
-from oseg.ideals import restrict
+from oseg.ideals import all_ideals, kernel, restrict
 from oseg.properties import evaluate, parse_property_expr, type_of
 from oseg.regularity import is_right_pi_inverse
 from oseg.theorems import TAU_RIGHT_INVERSE, TAU_SIMPLE_RPI, TAU_T_SIMPLE, TAU_T_SIMPLE_RPI
@@ -87,6 +90,22 @@ class TestNilExtension:
                     for a in range(S.n)
                 )
                 assert is_nil_extension(S, K).exponents == expected
+
+    def test_nil_extension_ideals(self, corpus3):
+        """The shared tuple is is_nil_extension per ideal and the oracle's
+        choice; the kernel decision is the oracle's on the kernel."""
+        for S in corpus3:
+            table, leq = structure_tables(S)
+            fresh = OrderedSemigroup(S.n, S.table, S.down)
+            expected = tuple(K for K in all_ideals(S) if is_nil_extension(S, K).ok)
+            assert nil_extension_ideals(fresh) == expected, S
+            assert nil_extension_ideals(fresh) == expected, S
+            assert expected == tuple(
+                K for K in all_ideals(S) if oracle_nil_extension(table, leq, mask_set(K))
+            )
+            assert (None not in decomposition._kernel_exponents(fresh)) == oracle_nil_extension(
+                table, leq, mask_set(kernel(S))
+            )
 
 
 class TestNilExtensionOfType:
@@ -205,8 +224,14 @@ class TestAllCongruences:
             all_complete_semilattice_congruences(big)
 
     def test_rejects_non_congruence(self):
-        with pytest.raises(ValueError):
-            congruence_partition(LZ2, (0, 1))
+        """Rejected for splitting a class of the least congruence (LZ2), and
+        for a partition holding it that is not compatible: in the semilattice
+        0 < 1, 0 < 2 with 1*2 = 0, merging 1 and 2 sends 1*1 and 1*2 apart."""
+        assert not is_csl_congruence(LZ2, (0, 1))
+        V = OrderedSemigroup(3, ((0, 0, 0), (0, 1, 0), (0, 0, 2)), (0b001, 0b011, 0b101))
+        assert least_complete_semilattice_congruence(V).class_of == (0, 1, 2)
+        assert not is_csl_congruence(V, (0, 1, 1))
+        assert is_csl_congruence(V, (0, 0, 1)) and is_csl_congruence(V, (0, 0, 0))
 
 
 class TestIsCompleteSemilatticeOf:
@@ -265,6 +290,34 @@ class TestIsCompleteSemilatticeOf:
         e = parse_property_expr("csl-of(" * depth + "simple" + ")" * depth)
         assert not evaluate(fresh, e)
         assert len(calls) == depth
+
+
+def assert_csl_lattice_matches_oracle(S: OrderedSemigroup) -> None:
+    """The least congruence is the oracle's finest one, and the scan lists
+    exactly the oracle's congruences, in partition order."""
+    expected = oracle_csl_congruences(*structure_tables(S))
+    rng = range(S.n)
+    finest = [
+        p
+        for p in expected
+        if all(q[a] == q[b] for q in expected for a in rng for b in rng if p[a] == p[b])
+    ]
+    assert [least_complete_semilattice_congruence(S).class_of] == finest, S
+    assert [p.class_of for p in all_complete_semilattice_congruences(S)] == expected, S
+
+
+class TestCslOracle:
+    def test_order_up_to_3(self, corpus3):
+        for S in corpus3:
+            assert_csl_lattice_matches_oracle(S)
+
+    @pytest.mark.slow
+    def test_every_7th_of_order_4(self):
+        count = 0
+        for S in islice(enumerate_ordered_semigroups(4), 0, None, 7):
+            assert_csl_lattice_matches_oracle(S)
+            count += 1
+        assert count == 15384
 
 
 @pytest.mark.slow

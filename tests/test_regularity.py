@@ -8,15 +8,18 @@ from conftest import (
     mask_set,
     oracle_intra_pi_regular,
     oracle_inverses,
+    oracle_pi_inverse_family,
     oracle_pi_regular,
+    oracle_pi_rv_set,
     oracle_pi_rv_set_vacuous,
     oracle_regular,
+    oracle_right_inverse,
     oracle_right_pi_inverse,
     oracle_rv_set,
     oracle_rv_set_vacuous,
     structure_tables,
 )
-from oseg.core import full_mask
+from oseg.core import OrderedSemigroup, full_mask
 from oseg.enumeration import enumerate_tables
 from oseg.fixtures import LZ2, N2, RZ2, SL2, T1
 from oseg.regularity import (
@@ -204,3 +207,47 @@ class TestInverseFamilies:
             assert is_right_pi_inverse(S) == (
                 is_pi_regular(S) and pi_rv_set(S) == full_mask(S.n)
             )
+
+
+#: each memoized verdict, read as a plain value, with its oracle
+MEMOIZED = {
+    "is_right_pi_inverse": (is_right_pi_inverse, oracle_right_pi_inverse),
+    "is_left_pi_inverse": (is_left_pi_inverse, lambda t, le: oracle_pi_inverse_family(t, le, "L")),
+    "is_pi_inverse": (is_pi_inverse, lambda t, le: oracle_pi_inverse_family(t, le, "H")),
+    "is_right_inverse": (is_right_inverse, oracle_right_inverse),
+    "pi_rv_set": (lambda S: mask_set(pi_rv_set(S)), oracle_pi_rv_set),
+}
+
+
+class TestMemoizedVerdicts:
+    @pytest.mark.parametrize("name", MEMOIZED)
+    def test_first_call_and_repeat_match_oracle(self, name, corpus3):
+        """On a fresh copy of each structure, so the first call computes."""
+        verdict, oracle = MEMOIZED[name]
+        for S in corpus3:
+            fresh = OrderedSemigroup(S.n, S.table, S.down)
+            expected = oracle(*structure_tables(S))
+            assert verdict(fresh) == expected, (name, S)
+            assert verdict(fresh) == expected, (name, S)
+
+    def test_repeat_reads_the_memo(self):
+        """A planted memo entry is what a repeat returns."""
+        fresh = OrderedSemigroup(N2.n, N2.table, N2.down)
+        assert is_right_pi_inverse(fresh) and pi_rv_set(fresh) == 0b11
+        fresh._cache[is_right_pi_inverse.__wrapped__] = False
+        assert not is_right_pi_inverse(fresh)
+
+    def test_verdict_is_per_structure_not_per_table(self, corpus3):
+        """Structures sharing a table can differ on a verdict; each keeps its
+        own, however the calls on them interleave."""
+        by_table: dict = {}
+        for S in corpus3:
+            by_table.setdefault(S.table, []).append(OrderedSemigroup(S.n, S.table, S.down))
+        differs = 0
+        for name, (verdict, oracle) in MEMOIZED.items():
+            for group in by_table.values():
+                expected = [oracle(*structure_tables(S)) for S in group]
+                assert [verdict(S) for S in group] == expected, name
+                assert [verdict(S) for S in reversed(group)] == expected[::-1], name
+                differs += len({str(v) for v in expected}) > 1
+        assert differs > 0
