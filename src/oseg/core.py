@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import wraps
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 Mask = int
 
@@ -332,33 +332,90 @@ def _power_masks(S: OrderedSemigroup) -> tuple[Mask, ...]:
     return tuple(mask_of(row) for row in _powers(S))
 
 
-@derived
 def _closed_products(S: OrderedSemigroup, flavor: str) -> tuple[Mask, ...]:
     """(Sa], (aS], (aSa] or (SaS] of each element a, for the flavor "l",
-    "r", "t" or "two-sided"; the one place these sets are built.
+    "r", "t" or "two-sided": the one-sided ones from their own derived
+    slots, the others from the two-sided record."""
+    if flavor == "t":
+        return two_sided(S).asa
+    if flavor == "two-sided":
+        return two_sided(S).sas
+    return _one_sided_products(S, flavor)
 
-    "l" and "r" come from the table.  Compatibility of the order gives
-    (aSa] = ((aS]a] and (SaS] = ((Sa]S], so "t" and "two-sided" are built
-    on the closed "r" and "l" vectors.
-    """
-    n, table = S.n, S.table
-    products = [0] * n
+
+@derived
+def _one_sided_products(S: OrderedSemigroup, flavor: str) -> tuple[Mask, ...]:
+    """(Sa] for "l", from the table's columns, or (aS] for "r", from its rows."""
     if flavor == "l":
-        products = [mask_of(column) for column in zip(*table)]
+        lines = zip(*S.table)
     elif flavor == "r":
-        products = [mask_of(row) for row in table]
-    elif flavor == "t":
-        for a, us in enumerate(_closed_products(S, "r")):
-            for u in iter_mask(us):
-                products[a] |= 1 << table[u][a]
-    elif flavor == "two-sided":
-        rows = [mask_of(row) for row in table]
-        for a, us in enumerate(_closed_products(S, "l")):
-            for u in iter_mask(us):
-                products[a] |= rows[u]
+        lines = S.table
     else:
         raise ValueError(f"unknown Archimedean flavor {flavor!r}")
-    return tuple(downset(S, m) for m in products)
+    return tuple(downset(S, mask_of(line)) for line in lines)
+
+
+def _rows_from_keys(keys) -> tuple[Mask, ...]:
+    """The rows of the equivalence relation "same key"."""
+    by_key: dict = {}
+    for i, k in enumerate(keys):
+        by_key[k] = by_key.get(k, 0) | (1 << i)
+    return tuple(by_key[k] for k in keys)
+
+
+class TwoSided(NamedTuple):
+    """What only two-sided questions read, built in one pass by :func:`two_sided`.
+
+    Per element a: (aSa] and (SaS], the principal two-sided ideal
+    I(a) = (a u Sa u aS u SaS] and bi-ideal B(a) = (a u aSa], a's row of
+    Green's J (I(a) = I(b)), and the value of a's first regular power
+    (some power of every element of a finite structure is idempotent,
+    hence regular).  Then the regular elements {a : a in (aSa]}, the
+    kernel (the least two-sided ideal, the intersection of the principal
+    ones, never empty) and the ordered idempotents {e : e <= e*e}.
+    """
+
+    asa: tuple[Mask, ...]
+    sas: tuple[Mask, ...]
+    ideal: tuple[Mask, ...]
+    bi: tuple[Mask, ...]
+    j_rows: tuple[Mask, ...]
+    first_regular: tuple[int, ...]
+    regular: Mask
+    kernel: Mask
+    idempotents: Mask
+
+
+@derived
+def two_sided(S: OrderedSemigroup) -> TwoSided:
+    """The two-sided record of S.  Compatibility of the order gives
+    (aSa] = ((aS]a] and (SaS] = ((Sa]S], so both are built on the closed
+    one-sided products."""
+    n, table, down = S.n, S.table, S.down
+    left, right = _one_sided_products(S, "l"), _one_sided_products(S, "r")
+    rows = [mask_of(row) for row in table]
+    asa, sas, ideal, bi = [], [], [], []
+    regular = idempotents = 0
+    kernel = full_mask(n)
+    for a in range(n):
+        x = y = 0
+        for u in iter_mask(right[a]):
+            x |= 1 << table[u][a]
+        for u in iter_mask(left[a]):
+            y |= rows[u]
+        x, y = downset(S, x), downset(S, y)
+        asa.append(x)
+        sas.append(y)
+        ideal.append(down[a] | left[a] | right[a] | y)
+        bi.append(down[a] | x)
+        kernel &= ideal[a]
+        regular |= x & 1 << a
+        idempotents |= down[table[a][a]] & 1 << a
+    first_regular = tuple(next(p for p in ps if regular >> p & 1) for ps in _powers(S))
+    return TwoSided(
+        tuple(asa), tuple(sas), tuple(ideal), tuple(bi), _rows_from_keys(ideal),
+        first_regular, regular, kernel, idempotents,
+    )
 
 
 # ---------------------------------------------------------------------------

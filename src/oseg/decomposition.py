@@ -11,8 +11,8 @@ taken relative to the subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from functools import cache
+from typing import Callable, Iterator, NamedTuple
 
 from .core import (
     Mask,
@@ -21,6 +21,7 @@ from .core import (
     _least_power_in,
     derived,
     downset,
+    iter_mask,
     members,
 )
 from .ideals import all_ideals, is_ideal, kernel, restrict
@@ -57,14 +58,13 @@ def is_csl_congruence(S: OrderedSemigroup, class_of: tuple[int, ...]) -> bool:
     """Congruence-style checker: a complete semilattice congruence is exactly
     a compatible partition containing the least one (the correspondence
     theorem), so a split class of the least one, the cheapest test, goes
-    first.  Compatibility is then checked on the quotient S/least, a
-    semilattice, so left multiplication covers both sides."""
+    first.  The partition of S/least's classes it induces must then be
+    among the quotient's compatible partitions."""
     least = least_complete_semilattice_congruence(S)
     q = [class_of[least.class_of.index(c)] for c in range(len(least.classes))]
     if any(class_of[a] != q[c] for a, c in enumerate(least.class_of)):
         return False
-    joined = [(c, d) for d in range(len(q)) for c in range(d) if q[c] == q[d]]
-    return all(q[row[c]] == q[row[d]] for row in _quotient_table(S) for c, d in joined)
+    return _partition(tuple(q)).class_of in _quotient_partitions(_quotient_table(S))
 
 
 def family_conditions_hold(S: OrderedSemigroup, class_of: tuple[int, ...]) -> bool:
@@ -109,8 +109,7 @@ def family_conditions_hold(S: OrderedSemigroup, class_of: tuple[int, ...]) -> bo
 # congruence partitions
 
 
-@dataclass(frozen=True)
-class CongruencePartition:
+class CongruencePartition(NamedTuple):
     """A complete semilattice congruence: class_of maps elements to class
     ids, assigned by least member, and classes[i] is the mask of class i."""
 
@@ -149,36 +148,27 @@ def least_complete_semilattice_congruence(S: OrderedSemigroup) -> CongruencePart
     the classes of ca and cr and of ac and rc for all c, until a whole
     pass merges nothing, which is exactly compatibility closure.
     """
-    n, table = S.n, S.table
+    n, table, down = S.n, S.table, S.down
     label = list(range(n))
-
-    def merge(x: int, y: int) -> bool:
-        lx, ly = label[x], label[y]
-        if lx == ly:
-            return False
-        for i in range(n):
-            if label[i] == ly:
-                label[i] = lx
-        return True
-
-    for a in range(n):
-        for b in range(n):
-            merge(table[a][b], table[b][a])
-            if S.down[b] >> a & 1:
-                merge(a, table[a][b])
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            r = label[a]
-            if r != a:
-                for c in range(n):
-                    changed |= merge(table[c][a], table[c][r])
-                    changed |= merge(table[a][c], table[r][c])
+    pairs = [(table[a][b], table[b][a]) for a in range(n) for b in range(n)]
+    pairs += [(a, table[a][b]) for b in range(n) for a in iter_mask(down[b])]
+    while pairs:
+        merged = False
+        for x, y in pairs:
+            lx, ly = label[x], label[y]
+            if lx != ly:
+                label = [lx if l == ly else l for l in label]
+                merged = True
+        pairs = [
+            pair
+            for a, r in enumerate(label)
+            if merged and r != a
+            for c in range(n)
+            for pair in ((table[c][a], table[c][r]), (table[a][c], table[r][c]))
+        ]
     return _partition(tuple(label))
 
 
-@derived
 def _quotient_table(S: OrderedSemigroup) -> tuple[tuple[int, ...], ...]:
     """The multiplication table of S/least on the least congruence's class ids."""
     least = least_complete_semilattice_congruence(S)
@@ -186,23 +176,40 @@ def _quotient_table(S: OrderedSemigroup) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(least.class_of[S.table[x][y]] for y in reps) for x in reps)
 
 
+@cache
+def _quotient_partitions(qtable: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The partitions of a semilattice's elements compatible with its
+    multiplication, in partition order.  The semilattice is commutative,
+    so left multiplication covers both sides.  Few quotient tables occur
+    (88 over every structure of order <= 4), so each is decided once."""
+    k = len(qtable)
+    out = []
+    for q in partitions(k):
+        joined = [(c, d) for d in range(k) for c in range(d) if q[c] == q[d]]
+        if all(q[row[c]] == q[row[d]] for row in qtable for c, d in joined):
+            out.append(q)
+    return tuple(out)
+
+
 @derived
 def all_complete_semilattice_congruences(S: OrderedSemigroup) -> list[CongruencePartition]:
     """Every compatible partition holding the least congruence, in partition
-    order: the partitions of its classes pulled back to the elements (classes
-    numbered by least member, so pulling back keeps the order); order <= 6."""
+    order: the compatible partitions of S/least pulled back to the elements
+    (classes numbered by least member, so pulling back keeps the order);
+    order <= 6."""
     _check_order(S.n)
     least = least_complete_semilattice_congruence(S).class_of
-    pulled = (tuple(q[c] for c in least) for q in partitions(max(least) + 1))
-    return [_partition(p) for p in pulled if is_csl_congruence(S, p)]
+    return [
+        _partition(tuple(q[c] for c in least))
+        for q in _quotient_partitions(_quotient_table(S))
+    ]
 
 
 # ---------------------------------------------------------------------------
 # nil-extensions
 
 
-@dataclass(frozen=True)
-class NilExtension:
+class NilExtension(NamedTuple):
     ok: bool
     exponents: tuple[int | None, ...] | None  # least m with a^m in K, per element
 
@@ -215,8 +222,7 @@ def is_nil_extension(S: OrderedSemigroup, K: Mask) -> NilExtension:
     return NilExtension(None not in exps, exps)
 
 
-@dataclass(frozen=True)
-class NilExtensionOutcome:
+class NilExtensionOutcome(NamedTuple):
     found: bool
     ideal: Mask | None
     reason: str | None  # "kernel-not-nil" | "type-fails" when not found
@@ -273,8 +279,7 @@ def nil_extension_ideal_exists(
 # semilattice-of-type decisions
 
 
-@dataclass(frozen=True)
-class CslResult:
+class CslResult(NamedTuple):
     holds: bool
     witness: CongruencePartition | None
     mode: str  # "least" | "exhaustive": where the answer was found

@@ -2,27 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     Mask,
     OrderedSemigroup,
-    _closed_products,
+    _one_sided_products,
     derived,
     downset,
     full_mask,
     iter_mask,
     members,
     subset_product,
+    two_sided,
 )
-
-#: ideal kind -> the core._closed_products flavors its principal ideal adds to (a]
-_KIND_FLAVORS = {
-    "left": ("l",),
-    "right": ("r",),
-    "bi": ("t",),
-    "two-sided": ("l", "r", "two-sided"),
-}
 
 
 class EmptySubsetError(ValueError):
@@ -35,23 +28,30 @@ class NotClosedError(ValueError):
         super().__init__(f"subset not closed under multiplication: {a}*{b} escapes")
 
 
-@derived
 def _principal_vector(S: OrderedSemigroup, kind: str) -> tuple[Mask, ...]:
-    """principal ideal of each element, as one cached vector per kind:
-    (a] joined with the kind's closed products.
+    """principal ideal of each element, as one vector per kind: (a] joined
+    with the kind's closed products.
 
     left   L(a) = (a u Sa]
     right  R(a) = (a u aS]
     two-sided  I(a) = (a u Sa u aS u SaS]
     bi     B(a) = (a u aSa]
+
+    The two-sided and bi vectors are read off the two-sided record.
     """
-    if kind not in _KIND_FLAVORS:
+    if kind == "two-sided":
+        return two_sided(S).ideal
+    if kind == "bi":
+        return two_sided(S).bi
+    return _one_sided_vector(S, kind)
+
+
+@derived
+def _one_sided_vector(S: OrderedSemigroup, kind: str) -> tuple[Mask, ...]:
+    if kind not in ("left", "right"):
         raise ValueError(f"unknown ideal kind {kind!r}")
-    vec = list(S.down)
-    for flavor in _KIND_FLAVORS[kind]:
-        for a, m in enumerate(_closed_products(S, flavor)):
-            vec[a] |= m
-    return tuple(vec)
+    products = _one_sided_products(S, "l" if kind == "left" else "r")
+    return tuple(d | m for d, m in zip(S.down, products))
 
 
 def principal_ideal(S: OrderedSemigroup, a: int, kind: str) -> Mask:
@@ -90,20 +90,15 @@ def is_simple(S: OrderedSemigroup, kind: str) -> bool:
     return all(v == full for v in _principal_vector(S, kind))
 
 
-@derived
 def kernel(S: OrderedSemigroup) -> Mask:
     """The least two-sided ideal: intersection of all principal ideals.
 
     Nonempty for every finite ordered semigroup.
     """
-    k = full_mask(S.n)
-    for v in _principal_vector(S, "two-sided"):
-        k &= v
-    return k
+    return two_sided(S).kernel
 
 
-@dataclass(frozen=True)
-class Restriction:
+class Restriction(NamedTuple):
     """A multiplicatively closed subset as a structure of its own.
 
     The inherited order is the ambient order cut down to the subset.
@@ -121,9 +116,12 @@ class Restriction:
 
 
 #: every proper restriction made in this process, one object (and one
-#: derived cache) per table and order; those of order-5 structures have
-#: order < 5, so there are at most 1 + 20 + 971 + 107688 = 108680 of them
+#: derived cache) per table and order, until it holds INTERN_LIMIT of them
+#: and is cleared, so that a long sweep's memory stays bounded.  Those of
+#: order-5 structures have order < 5, so there are at most
+#: 1 + 20 + 971 + 107688 = 108680 of them; an order-5 iso sweep interns 8334.
 _INTERNED: dict[OrderedSemigroup, OrderedSemigroup] = {}
+INTERN_LIMIT = 1 << 15
 
 
 def restrict(S: OrderedSemigroup, mask: Mask) -> Restriction:
@@ -155,6 +153,8 @@ def _proper_restriction(S: OrderedSemigroup, mask: Mask) -> Restriction:
             m |= 1 << index[i]
         sub_down.append(m)
     sub = OrderedSemigroup(len(elems), sub_table, tuple(sub_down))
+    if len(_INTERNED) >= INTERN_LIMIT:
+        _INTERNED.clear()
     return Restriction(structure=_INTERNED.setdefault(sub, sub), embed=tuple(elems))
 
 

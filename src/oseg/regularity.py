@@ -14,27 +14,22 @@ Membership conventions (these matter and are easy to get backwards):
 
 from __future__ import annotations
 
-from .core import Mask, OrderedSemigroup, _least_power_in, _power_masks, derived, full_mask, mask_of
-from .relations import _regular_mask, green
+from .core import Mask, OrderedSemigroup, _least_power_in, _power_masks, derived, full_mask, mask_of, two_sided
+from .relations import green
 
 
 def is_regular(S: OrderedSemigroup, a: int) -> bool:
     """a in (aSa]."""
-    return _regular_mask(S) >> a & 1 == 1
+    return two_sided(S).regular >> a & 1 == 1
 
 
 def regular_elements(S: OrderedSemigroup) -> Mask:
-    return _regular_mask(S)
+    return two_sided(S).regular
 
 
-@derived
 def ordered_idempotents(S: OrderedSemigroup) -> Mask:
     """{e : e <= e*e}."""
-    m = 0
-    for e in range(S.n):
-        if S.leq(e, S.table[e][e]):
-            m |= 1 << e
-    return m
+    return two_sided(S).idempotents
 
 
 @derived

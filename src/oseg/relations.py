@@ -1,4 +1,4 @@
-"""Green's relations, their starred variants, divisibility, Archimedean tests, regular elements."""
+"""Green's relations, their starred variants, Archimedean tests."""
 
 from __future__ import annotations
 
@@ -9,15 +9,14 @@ from .core import (
     OrderedSemigroup,
     _closed_products,
     _power_masks,
-    _powers,
+    _rows_from_keys,
     derived,
     full_mask,
-    mask_of,
     members,
+    two_sided,
 )
 from .ideals import _principal_vector
 
-GREEN_KINDS = ("L", "R", "J", "H")
 STAR_KINDS = ("L*", "R*", "J*", "H*")
 
 
@@ -44,37 +43,24 @@ class EquivalenceRelation:
         return all(r == full for r in self.rows)
 
 
-def _rows_from_keys(keys: list) -> tuple[Mask, ...]:
-    by_key: dict = {}
-    for i, k in enumerate(keys):
-        by_key[k] = by_key.get(k, 0) | (1 << i)
-    return tuple(by_key[k] for k in keys)
-
-
-@derived
 def green(S: OrderedSemigroup, which: str) -> EquivalenceRelation:
-    """a ~ b iff the corresponding principal ideals agree; H = L and R."""
-    if which not in GREEN_KINDS:
-        raise ValueError(f"unknown Green relation {which!r}")
-    if which == "H":
-        lrows = green(S, "L").rows
-        rrows = green(S, "R").rows
-        rows = tuple(lr & rr for lr, rr in zip(lrows, rrows))
-    else:
-        kind = {"L": "left", "R": "right", "J": "two-sided"}[which]
-        rows = _rows_from_keys(list(_principal_vector(S, kind)))
-    return EquivalenceRelation(rows)
+    """a ~ b iff the corresponding principal ideals agree; H = L and R.
+    J's rows are read off the two-sided record."""
+    if which == "J":
+        return EquivalenceRelation(two_sided(S).j_rows)
+    return _one_sided_green(S, which)
 
 
 @derived
-def _star_reps(S: OrderedSemigroup) -> tuple[int, ...]:
-    """For each a, the value of its first regular power a^m.
-
-    Some power of every element of a finite structure is idempotent,
-    hence regular, so every element has one.
-    """
-    reg = _regular_mask(S)
-    return tuple(next(p for p in powers if reg >> p & 1) for powers in _powers(S))
+def _one_sided_green(S: OrderedSemigroup, which: str) -> EquivalenceRelation:
+    if which == "H":
+        lrows = _one_sided_green(S, "L").rows
+        rrows = _one_sided_green(S, "R").rows
+        return EquivalenceRelation(tuple(lr & rr for lr, rr in zip(lrows, rrows)))
+    if which not in ("L", "R"):
+        raise ValueError(f"unknown Green relation {which!r}")
+    kind = "left" if which == "L" else "right"
+    return EquivalenceRelation(_rows_from_keys(_principal_vector(S, kind)))
 
 
 @derived
@@ -87,22 +73,10 @@ def green_star(S: OrderedSemigroup, which: str) -> EquivalenceRelation:
         rrows = green_star(S, "R*").rows
         rows = tuple(lr & rr for lr, rr in zip(lrows, rrows))
     else:
-        reps = _star_reps(S)
-        base = green(S, which[0])
-        rows = _rows_from_keys([base.rows[reps[a]] for a in range(S.n)])
+        reps = two_sided(S).first_regular
+        base = green(S, which[0]).rows
+        rows = _rows_from_keys([base[r] for r in reps])
     return EquivalenceRelation(rows)
-
-
-def divides(S: OrderedSemigroup, a: int, b: int) -> bool:
-    """a | b: b <= x*a*y for some x, y in S with identity adjoined, that is,
-    b lies in the principal two-sided ideal (a u Sa u aS u SaS] of a."""
-    return _principal_vector(S, "two-sided")[a] >> b & 1 == 1
-
-
-@derived
-def _regular_mask(S: OrderedSemigroup) -> Mask:
-    """The regular elements: a in (aSa]."""
-    return mask_of(a for a, asa in enumerate(_closed_products(S, "t")) if asa >> a & 1)
 
 
 @derived
@@ -113,6 +87,5 @@ def is_archimedean(S: OrderedSemigroup, flavor: str) -> bool:
     over m in 1..n is exhaustive because the distinct powers of b all
     occur in that range.
     """
-    targets = _closed_products(S, flavor)
     pows = _power_masks(S)
-    return all(pows[b] & targets[a] for a in range(S.n) for b in range(S.n))
+    return all(all(p & target for p in pows) for target in _closed_products(S, flavor))

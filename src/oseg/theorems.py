@@ -6,6 +6,8 @@ conditions), and then compares the outcome against the claimed logical
 shape: an all-equivalent list, an lhs-iff-conjunction, or a family of
 checks quantified over every ideal or congruence.  A verdict of
 COUNTEREXAMPLE means the structure falsifies the claim as encoded here.
+Deciding is split from explaining: an entry's witnesses (ideal members,
+exponents, rv sets, partitions) are built only when a report is read.
 
 Condition evaluators call the public operations of the other modules,
 so a counterexample localizes a defect; the few conditions whose entire
@@ -15,11 +17,11 @@ side from the raw table instead of sharing the cached path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import ideals
-from .core import Mask, OrderedSemigroup, derived, downset, iter_mask, mask_of, members
+from .core import Mask, OrderedSemigroup, derived, downset, full_mask, iter_mask, mask_of, members, two_sided
 from .decomposition import (
     MAX_PARTITION_ORDER,
     _check_order,
@@ -49,18 +51,26 @@ class UnknownTheoremError(KeyError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class TheoremReport:
+    """An entry's verdict on one structure.  The witnesses, what a reader
+    needs to follow the verdict, are built by the entry's explain on the
+    structure whenever they are read."""
+
     theorem_id: str
     conditions: dict[str, bool]
     verdict: str  # "consistent" | "COUNTEREXAMPLE"
-    witnesses: dict[str, object] = field(default_factory=dict)
-    violation: dict | None = None
-    adapted: bool = False
+    violation: dict | None
+    adapted: bool
+    structure: OrderedSemigroup
 
     @property
     def consistent(self) -> bool:
         return self.verdict == "consistent"
+
+    @property
+    def witnesses(self) -> dict[str, object]:
+        return _entry(self.theorem_id).explain(self.structure)
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -127,7 +137,8 @@ def _equiv_violation(conditions: dict[str, bool]) -> dict | None:
     }
 
 
-def _nilext_witness(outcome) -> dict:
+def _nilext_witness(S: OrderedSemigroup, tau) -> dict:
+    outcome = nil_extension_of_type(S, tau)
     if outcome.found:
         return {
             "ideal": members(outcome.ideal),
@@ -136,24 +147,52 @@ def _nilext_witness(outcome) -> dict:
     return {"reason": outcome.reason}
 
 
+def _nilext_explainer(**taus) -> Callable:
+    """The explain of an entry whose witnesses are the outcomes of its
+    nil-extension conditions, keyed by condition, and the ordered idempotents."""
+
+    def explain(S: OrderedSemigroup) -> dict:
+        witnesses: dict[str, object] = {key: _nilext_witness(S, tau) for key, tau in taus.items()}
+        witnesses["ordered_idempotents"] = members(ordered_idempotents(S))
+        return witnesses
+
+    return explain
+
+
 def _ideal_key(K: Mask) -> str:
     return "ideal[" + ",".join(str(e) for e in members(K)) + "]"
 
 
+def _no_witnesses(S: OrderedSemigroup) -> dict:
+    return {}
+
+
+def _rv_witness(S: OrderedSemigroup) -> dict:
+    return {"rv_set": members(rv_set(S))}
+
+
+def _powers_reach_all(pow_masks, targets) -> bool:
+    """Some power of every element in each target, target by target."""
+    return all(all(p & target for p in pow_masks) for target in targets)
+
+
 # ---------------------------------------------------------------------------
-# catalog evaluators
+# catalog evaluators: evaluate(S) gives (conditions, violation) and
+# explain(S) the witnesses
 
 
 def _eval_thm_500(S: OrderedSemigroup):
     rpi = is_right_pi_inverse(S)
-    E = ordered_idempotents(S)
-    impl = _implication_on(green_star(S, "L*"), green_star(S, "R*"), E)
+    impl = _implication_on(green_star(S, "L*"), green_star(S, "R*"), ordered_idempotents(S))
     conditions = {"i_right_pi_inverse": rpi, "ii_idempotents_lstar_implies_rstar": impl}
-    witnesses: dict[str, object] = {"ordered_idempotents": members(E)}
-    if rpi:
+    return conditions, None if rpi == impl else {"shape": "equivalence", "conditions": conditions}
+
+
+def _explain_thm_500(S: OrderedSemigroup) -> dict:
+    witnesses: dict[str, object] = {"ordered_idempotents": members(ordered_idempotents(S))}
+    if is_right_pi_inverse(S):
         witnesses["right_pi_inverse_exponents"] = list(pi_rv_witness(S))
-    violation = None if rpi == impl else {"shape": "equivalence", "conditions": conditions}
-    return conditions, witnesses, violation
+    return witnesses
 
 
 def _raw_right_pi_inverse(S: OrderedSemigroup) -> bool:
@@ -167,13 +206,16 @@ def _raw_right_pi_inverse(S: OrderedSemigroup) -> bool:
     right = [downset(S, 1 << b | mask_of(table[b])) for b in range(n)]
     agree = 0
     for p in range(n):
-        inv = [
-            b
-            for b in range(n)
-            if down[table[table[p][b]][p]] >> p & 1 and down[table[table[b][p]][b]] >> b & 1
-        ]
-        if inv and all(right[b] == right[inv[0]] for b in inv):
-            agree |= 1 << p
+        first = None
+        for b in range(n):
+            if down[table[table[p][b]][p]] >> p & 1 and down[table[table[b][p]][b]] >> b & 1:
+                if first is None:
+                    first = right[b]
+                elif right[b] != first:
+                    break
+        else:
+            if first is not None:
+                agree |= 1 << p
     return all(powers & agree for powers in _raw_power_masks(S))
 
 
@@ -182,17 +224,18 @@ def _eval_thm_15(S: OrderedSemigroup):
         "i_right_pi_inverse": is_right_pi_inverse(S),
         "ii_some_power_has_r_related_inverses": _raw_right_pi_inverse(S),
     }
-    witnesses = {"exponents": list(pi_rv_witness(S))}
-    return conditions, witnesses, _equiv_violation(conditions)
+    return conditions, _equiv_violation(conditions)
+
+
+def _explain_thm_15(S: OrderedSemigroup) -> dict:
+    return {"exponents": list(pi_rv_witness(S))}
 
 
 def _eval_thm_74(S: OrderedSemigroup):
     pinv = is_pi_inverse(S)
     E = ordered_idempotents(S)
-    ne_left = nil_extension_of_type(S, TAU_LEFT_SIMPLE_PI_INV)
-    ne_t = nil_extension_of_type(S, TAU_T_SIMPLE_PI_INV)
     conditions = {
-        "i_nilext_left_simple_pi_inverse": ne_left.found,
+        "i_nilext_left_simple_pi_inverse": nil_extension_of_type(S, TAU_LEFT_SIMPLE_PI_INV).found,
         "ii_pi_inverse_and_l_archimedean": pinv and is_archimedean(S, "l"),
         "iii_pi_inverse_and_lstar_universal": pinv and green_star(S, "L*").is_universal(),
         "iv_pi_inverse_and_idempotents_lstar": pinv and _pairwise_related(green_star(S, "L*").rows, E),
@@ -200,26 +243,19 @@ def _eval_thm_74(S: OrderedSemigroup):
         "v_pi_regular_and_idempotents_hstar": _pairwise_related(green_star(S, "H*").rows, E),
         "vi_pi_regular_and_hstar_universal": green_star(S, "H*").is_universal(),
         "vii_pi_inverse_and_t_archimedean": pinv and is_archimedean(S, "t"),
-        "viii_nilext_t_simple_pi_inverse": ne_t.found,
+        "viii_nilext_t_simple_pi_inverse": nil_extension_of_type(S, TAU_T_SIMPLE_PI_INV).found,
     }
-    witnesses = {
-        "i": _nilext_witness(ne_left),
-        "viii": _nilext_witness(ne_t),
-        "ordered_idempotents": members(E),
-    }
-    return conditions, witnesses, _equiv_violation(conditions)
+    return conditions, _equiv_violation(conditions)
 
 
 def _eval_cor_76(S: OrderedSemigroup):
     pinv = is_pi_inverse(S)
     E = ordered_idempotents(S)
-    ne = nil_extension_of_type(S, TAU_SIMPLE_PI_INV)
     conditions = {
-        "i_nilext_simple_pi_inverse": ne.found,
+        "i_nilext_simple_pi_inverse": nil_extension_of_type(S, TAU_SIMPLE_PI_INV).found,
         "ii_pi_inverse_and_idempotents_jstar": pinv and _pairwise_related(green_star(S, "J*").rows, E),
     }
-    witnesses = {"i": _nilext_witness(ne), "ordered_idempotents": members(E)}
-    return conditions, witnesses, _equiv_violation(conditions)
+    return conditions, _equiv_violation(conditions)
 
 
 def _eval_lem_cao(S: OrderedSemigroup):
@@ -237,8 +273,7 @@ def _eval_lem_cao(S: OrderedSemigroup):
         conditions[key + ".ii_every_power_lands"] = lands
         if nil != lands:
             bad.append(members(K))
-    violation = None if not bad else {"shape": "per-ideal equivalence", "ideals": bad}
-    return conditions, {}, violation
+    return conditions, None if not bad else {"shape": "per-ideal equivalence", "ideals": bad}
 
 
 def _eval_lem_ne51(S: OrderedSemigroup):
@@ -246,12 +281,11 @@ def _eval_lem_ne51(S: OrderedSemigroup):
     table = S.table
     rng = range(S.n)
     # a | c iff c lies in the principal two-sided ideal of a
-    divided = [ideals.principal_ideal(S, a, "two-sided") for a in rng]
+    divided = two_sided(S).ideal
     cond_i = all(divided[a] & rv & ~divided[table[a][a]] == 0 for a in rng)
     cond_ii = all(divided[a] & divided[b] & rv & ~divided[table[a][b]] == 0 for a in rng for b in rng)
     conditions = {"i_square_divides": cond_i, "ii_product_divides": cond_ii}
-    witnesses = {"rv_set": members(rv)}
-    return conditions, witnesses, _equiv_violation(conditions)
+    return conditions, _equiv_violation(conditions)
 
 
 def _eval_thm_ne511(S: OrderedSemigroup):
@@ -278,8 +312,7 @@ def _eval_thm_ne511(S: OrderedSemigroup):
         conditions[key + ".iii_all_classes_right_pi_inverse"] = all_rpi
         if union_rv != rv_s or all_ri != s_ri or all_rpi != s_rpi:
             failures.append({"congruence": p.classes_as_lists(), "rv_union": members(union_rv)})
-    violation = None if not failures else {"shape": "per-congruence", "failures": failures}
-    return conditions, {"rv_set": members(rv_s)}, violation
+    return conditions, None if not failures else {"shape": "per-congruence", "failures": failures}
 
 
 def _eval_lem_ne53(S: OrderedSemigroup):
@@ -296,23 +329,23 @@ def _eval_lem_ne53(S: OrderedSemigroup):
         conditions[key + ".ii_l_classes_meeting_rv_inside"] = lclasses_ok
         if not (inside and lclasses_ok):
             failures.append(members(K))
-    violation = None if not failures else {"shape": "per-nil-ideal", "ideals": failures}
-    return conditions, {"rv_set": members(rv)}, violation
+    return conditions, None if not failures else {"shape": "per-nil-ideal", "ideals": failures}
+
+
+def _raw_t_archimedean(S: OrderedSemigroup) -> bool:
+    """t-Archimedean rebuilt from the table, independent of the closed
+    products is_archimedean reads: (aSa] is the downset of the row set aSa."""
+    table = S.table
+    asa = (downset(S, mask_of(table[x][a] for x in table[a])) for a in range(S.n))
+    return _powers_reach_all(_raw_power_masks(S), asa)
 
 
 def _eval_thm_1005(S: OrderedSemigroup):
     rpi = is_right_pi_inverse(S)
     pinv = is_pi_inverse(S)
     E = ordered_idempotents(S)
-    ne_left = nil_extension_of_type(S, TAU_LEFT_SIMPLE_RPI)
-    ne_t = nil_extension_of_type(S, TAU_T_SIMPLE_RPI)
-    # (viii) rebuilds t-Archimedean from the table, independent of the
-    # closed products (vii) reads: (aSa] is the downset of the row set aSa
-    table, pow_masks = S.table, _raw_power_masks(S)
-    asa = [downset(S, mask_of(table[x][a] for x in table[a])) for a in range(S.n)]
-    t_arch = all(pow_masks[b] & asa[a] for a in range(S.n) for b in range(S.n))
     conditions = {
-        "i_nilext_left_simple_rpi": ne_left.found,
+        "i_nilext_left_simple_rpi": nil_extension_of_type(S, TAU_LEFT_SIMPLE_RPI).found,
         "ii_rpi_and_l_archimedean": rpi and is_archimedean(S, "l"),
         "iii_rpi_and_lstar_universal": rpi and green_star(S, "L*").is_universal(),
         "iv_rpi_and_idempotents_lstar": rpi and _pairwise_related(green_star(S, "L*").rows, E),
@@ -320,121 +353,121 @@ def _eval_thm_1005(S: OrderedSemigroup):
         "v_pi_regular_and_idempotents_hstar": _pairwise_related(green_star(S, "H*").rows, E),
         "vi_pi_regular_and_hstar_universal": green_star(S, "H*").is_universal(),
         "vii_pi_inverse_and_t_archimedean": pinv and is_archimedean(S, "t"),
-        "viii_rpi_and_t_archimedean": rpi and t_arch,
-        "ix_nilext_t_simple_rpi": ne_t.found,
+        "viii_rpi_and_t_archimedean": rpi and _raw_t_archimedean(S),
+        "ix_nilext_t_simple_rpi": nil_extension_of_type(S, TAU_T_SIMPLE_RPI).found,
     }
-    witnesses = {
-        "i": _nilext_witness(ne_left),
-        "ix": _nilext_witness(ne_t),
-        "ordered_idempotents": members(E),
-    }
-    return conditions, witnesses, _equiv_violation(conditions)
+    return conditions, _equiv_violation(conditions)
 
 
-def _eval_cor_simple(S: OrderedSemigroup):
-    rpi = is_right_pi_inverse(S)
-    E = ordered_idempotents(S)
-    ne = nil_extension_of_type(S, TAU_SIMPLE_RPI)
-    # condition (iv) spelled out by definition, independent of the closed
-    # products that condition (v) reads through is_archimedean: (SbS] is
-    # the downset of the union over s of the row set (sb)S
+def _raw_archimedean(S: OrderedSemigroup) -> bool:
+    """Archimedean spelled out by definition, independent of the closed
+    products is_archimedean reads: (SbS] is the downset of the union over
+    s of the row set (sb)S."""
     row_masks = [mask_of(row) for row in S.table]
     sbs = [0] * S.n
     for row in S.table:  # row s holds sb for every b
         for b, sb in enumerate(row):
             sbs[b] |= row_masks[sb]
-    targets = [downset(S, m) for m in sbs]
-    pow_masks = _raw_power_masks(S)
-    iv = all(pow_masks[a] & targets[b] for a in range(S.n) for b in range(S.n))
+    return _powers_reach_all(_raw_power_masks(S), (downset(S, m) for m in sbs))
+
+
+def _eval_cor_simple(S: OrderedSemigroup):
+    rpi = is_right_pi_inverse(S)
+    E = ordered_idempotents(S)
     conditions = {
-        "i_nilext_simple_rpi": ne.found,
+        "i_nilext_simple_rpi": nil_extension_of_type(S, TAU_SIMPLE_RPI).found,
         "ii_rpi_and_idempotents_jstar": rpi and _pairwise_related(green_star(S, "J*").rows, E),
         "iii_rpi_and_jstar_universal": rpi and green_star(S, "J*").is_universal(),
-        "iv_rpi_and_powers_reach_sbs": rpi and iv,
+        "iv_rpi_and_powers_reach_sbs": rpi and _raw_archimedean(S),
         "v_rpi_and_archimedean": rpi and is_archimedean(S, "two-sided"),
     }
-    witnesses = {"i": _nilext_witness(ne), "ordered_idempotents": members(E)}
-    return conditions, witnesses, _equiv_violation(conditions)
+    return conditions, _equiv_violation(conditions)
 
 
 def _eval_cor_rinv_nilext(S: OrderedSemigroup):
-    K = nil_extension_ideal_exists(S, TAU_RIGHT_INVERSE)
-    lhs = K is not None
+    lhs = nil_extension_ideal_exists(S, TAU_RIGHT_INVERSE) is not None
     rv = rv_set(S)
-    table = S.table
-    rng = range(S.n)
-    g_ii = all(
-        rv >> a & 1 or not (rv >> b & 1 and S.leq(a, table[b][a])) for a in rng for b in rng
-    )
-    g_iii = all(
-        rv >> a & 1 or not (rv >> b & 1 and S.leq(a, table[a][b])) for a in rng for b in rng
-    )
-    g_iv = all(rv >> a & 1 or not (rv >> b & 1 and S.leq(a, b)) for a in rng for b in rng)
+    table, down = S.table, S.down
+    outside = full_mask(S.n) & ~rv
     conditions = {
         "nilext_right_inverse": lhs,
         "i_right_pi_inverse": is_right_pi_inverse(S),
-        "ii_left_multiple_stays_rv": g_ii,
-        "iii_right_multiple_stays_rv": g_iii,
-        "iv_below_stays_rv": g_iv,
+        # a <= ba (ii) or a <= ab (iii) with b in rv puts a in rv
+        "ii_left_multiple_stays_rv": not any(
+            down[table[b][a]] >> a & 1 for b in iter_mask(rv) for a in iter_mask(outside)
+        ),
+        "iii_right_multiple_stays_rv": not any(
+            down[table[a][b]] >> a & 1 for b in iter_mask(rv) for a in iter_mask(outside)
+        ),
+        # rv is a down-set
+        "iv_below_stays_rv": all(down[b] & outside == 0 for b in iter_mask(rv)),
     }
-    witnesses: dict[str, object] = {"rv_set": members(rv)}
-    if lhs:
-        witnesses["ideal"] = members(K)
     rhs = all(v for k, v in conditions.items() if k != "nilext_right_inverse")
     violation = (
         None
         if lhs == rhs
         else {"shape": "lhs-iff-conjunction", "conditions": dict(conditions)}
     )
-    return conditions, witnesses, violation
+    return conditions, violation
 
 
-def _csl_corollary(simple: str, arch: str) -> Callable:
-    """The evaluator of cor-1114 (simple, archimedean) and cor-leftsimple
-    (left-simple, l-archimedean): S is a complete semilattice of
-    nil-extensions of `simple` right pi-inverse ones, iff of nil-extensions
-    of `simple` ones and right pi-inverse, iff S is right pi-inverse and a
-    complete semilattice of `arch` ones.  The paper's (ii) asks the pi intra
-    set to equal the pi rv set; the first is all of a finite S, so that is
-    right pi-inverseness, which (ii) and (iii) share."""
+def _explain_cor_rinv_nilext(S: OrderedSemigroup) -> dict:
+    witnesses: dict[str, object] = _rv_witness(S)
+    K = nil_extension_ideal_exists(S, TAU_RIGHT_INVERSE)
+    if K is not None:
+        witnesses["ideal"] = members(K)
+    return witnesses
+
+
+def _csl_corollary(simple: str, arch: str) -> tuple[Callable, Callable]:
+    """The evaluator and explainer of cor-1114 (simple, archimedean) and
+    cor-leftsimple (left-simple, l-archimedean): S is a complete
+    semilattice of nil-extensions of `simple` right pi-inverse ones, iff of
+    nil-extensions of `simple` ones and right pi-inverse, iff S is right
+    pi-inverse and a complete semilattice of `arch` ones.  The paper's (ii)
+    asks the pi intra set to equal the pi rv set; the first is all of a
+    finite S, so that is right pi-inverseness, which (ii) and (iii) share."""
     ne_rpi = _type(f"nil-ext-of({simple} & right-pi-inverse)")
     ne = _type(f"nil-ext-of({simple})")
     arch_type = _type(arch)
     s, a = simple.replace("-", "_"), arch.replace("-", "_")
 
     def evaluate(S: OrderedSemigroup):
-        csl_ne_rpi = is_complete_semilattice_of(S, ne_rpi)
-        csl_ne = is_complete_semilattice_of(S, ne)
-        csl_arch = is_complete_semilattice_of(S, arch_type)
         rpi = is_right_pi_inverse(S)
         conditions = {
-            f"i_csl_of_nilext_{s}_rpi": csl_ne_rpi.holds,
-            f"ii_csl_of_nilext_{s}_and_intra_matches_rv": csl_ne.holds and rpi,
-            f"iii_rpi_and_csl_of_{a}": rpi and csl_arch.holds,
+            f"i_csl_of_nilext_{s}_rpi": is_complete_semilattice_of(S, ne_rpi).holds,
+            f"ii_csl_of_nilext_{s}_and_intra_matches_rv": is_complete_semilattice_of(S, ne).holds and rpi,
+            f"iii_rpi_and_csl_of_{a}": rpi and is_complete_semilattice_of(S, arch_type).holds,
         }
+        return conditions, _equiv_violation(conditions)
+
+    def explain(S: OrderedSemigroup) -> dict:
         witnesses: dict[str, object] = {
             "pi_intra_set": members(pi_intra_set(S)),
             "pi_rv_set": members(pi_rv_set(S)),
         }
+        csl_ne_rpi = is_complete_semilattice_of(S, ne_rpi)
         if csl_ne_rpi.holds:
             witnesses["i_partition"] = csl_ne_rpi.witness.classes_as_lists()
-        return conditions, witnesses, _equiv_violation(conditions)
+        return witnesses
 
-    return evaluate
+    return evaluate, explain
 
 
 def _eval_thm_774_adapted(S: OrderedSemigroup):
-    ne = nil_extension_of_type(S, TAU_T_SIMPLE)
     conditions = {
-        "i_nilext_t_simple": ne.found,
+        "i_nilext_t_simple": nil_extension_of_type(S, TAU_T_SIMPLE).found,
         # the pi intra set is all of a finite S, so it is never empty
         "ii_t_archimedean_and_intra_nonempty": is_archimedean(S, "t"),
     }
-    witnesses = {"i": _nilext_witness(ne), "pi_intra_set": members(pi_intra_set(S))}
     violation = _equiv_violation(conditions)
     if violation is not None:
         violation["note"] = "adaptation-mismatch"
-    return conditions, witnesses, violation
+    return conditions, violation
+
+
+def _explain_thm_774_adapted(S: OrderedSemigroup) -> dict:
+    return {"i": _nilext_witness(S, TAU_T_SIMPLE), "pi_intra_set": members(pi_intra_set(S))}
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +476,14 @@ def _eval_thm_774_adapted(S: OrderedSemigroup):
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """evaluate(S) returns (conditions, witnesses, violation), and the claim
-    holds on S iff violation is None.  A capped entry scans every ideal or
-    congruence, so it is skipped above MAX_PARTITION_ORDER."""
+    """evaluate(S) returns (conditions, violation), and the claim holds on S
+    iff violation is None; explain(S) returns the witnesses of a report.  A
+    capped entry scans every ideal or congruence, so it is skipped above
+    MAX_PARTITION_ORDER."""
 
     theorem_id: str
     evaluate: Callable
+    explain: Callable = _no_witnesses
     capped: bool = False
     adapted: bool = False
 
@@ -456,22 +491,32 @@ class CatalogEntry:
 _CATALOG: dict[str, CatalogEntry] = {
     e.theorem_id: e
     for e in (
-        CatalogEntry("thm-500", _eval_thm_500),
-        CatalogEntry("thm-15", _eval_thm_15),
-        CatalogEntry("thm-74", _eval_thm_74),
-        CatalogEntry("cor-76", _eval_cor_76),
-        CatalogEntry("lem-cao", _eval_lem_cao, capped=True),
-        CatalogEntry("lem-ne51", _eval_lem_ne51),
-        CatalogEntry("thm-ne511", _eval_thm_ne511, capped=True),
-        CatalogEntry("lem-ne53", _eval_lem_ne53, capped=True),
-        CatalogEntry("thm-1005", _eval_thm_1005),
-        CatalogEntry("cor-simple", _eval_cor_simple),
-        CatalogEntry("cor-rinv-nilext", _eval_cor_rinv_nilext, capped=True),
-        CatalogEntry("cor-1114", _csl_corollary("simple", "archimedean"), capped=True),
+        CatalogEntry("thm-500", _eval_thm_500, _explain_thm_500),
+        CatalogEntry("thm-15", _eval_thm_15, _explain_thm_15),
         CatalogEntry(
-            "cor-leftsimple", _csl_corollary("left-simple", "l-archimedean"), capped=True
+            "thm-74",
+            _eval_thm_74,
+            _nilext_explainer(i=TAU_LEFT_SIMPLE_PI_INV, viii=TAU_T_SIMPLE_PI_INV),
         ),
-        CatalogEntry("thm-774-adapted", _eval_thm_774_adapted, adapted=True),
+        CatalogEntry("cor-76", _eval_cor_76, _nilext_explainer(i=TAU_SIMPLE_PI_INV)),
+        CatalogEntry("lem-cao", _eval_lem_cao, capped=True),
+        CatalogEntry("lem-ne51", _eval_lem_ne51, _rv_witness),
+        CatalogEntry("thm-ne511", _eval_thm_ne511, _rv_witness, capped=True),
+        CatalogEntry("lem-ne53", _eval_lem_ne53, _rv_witness, capped=True),
+        CatalogEntry(
+            "thm-1005",
+            _eval_thm_1005,
+            _nilext_explainer(i=TAU_LEFT_SIMPLE_RPI, ix=TAU_T_SIMPLE_RPI),
+        ),
+        CatalogEntry("cor-simple", _eval_cor_simple, _nilext_explainer(i=TAU_SIMPLE_RPI)),
+        CatalogEntry("cor-rinv-nilext", _eval_cor_rinv_nilext, _explain_cor_rinv_nilext, capped=True),
+        CatalogEntry("cor-1114", *_csl_corollary("simple", "archimedean"), capped=True),
+        CatalogEntry(
+            "cor-leftsimple", *_csl_corollary("left-simple", "l-archimedean"), capped=True
+        ),
+        CatalogEntry(
+            "thm-774-adapted", _eval_thm_774_adapted, _explain_thm_774_adapted, adapted=True
+        ),
     )
 }
 
@@ -505,15 +550,9 @@ def check(S: OrderedSemigroup, theorem_id: str) -> TheoremReport:
     entry = _entry(theorem_id)
     if entry.capped:
         _check_order(S.n)
-    conditions, witnesses, violation = entry.evaluate(S)
-    return TheoremReport(
-        theorem_id=theorem_id,
-        conditions=conditions,
-        verdict="consistent" if violation is None else "COUNTEREXAMPLE",
-        witnesses=witnesses,
-        violation=violation,
-        adapted=entry.adapted,
-    )
+    conditions, violation = entry.evaluate(S)
+    verdict = "consistent" if violation is None else "COUNTEREXAMPLE"
+    return TheoremReport(theorem_id, conditions, verdict, violation, entry.adapted, S)
 
 
 def check_all(S: OrderedSemigroup) -> list[TheoremReport]:

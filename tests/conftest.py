@@ -186,6 +186,28 @@ def oracle_regular(table, leq, a) -> bool:
     return a in oracle_downset(leq, asa)
 
 
+def oracle_first_regular_power(table, leq, a) -> int:
+    """The value of the first power a^m (m = 1, 2, ...) that is regular."""
+    x = a
+    while not oracle_regular(table, leq, x):
+        x = table[x][a]
+    return x
+
+
+def oracle_ordered_idempotents(table, leq) -> set:
+    return {e for e in range(len(table)) if leq[e][table[e][e]]}
+
+
+def oracle_kernel(table, leq) -> set:
+    """The intersection of every two-sided ideal, by scanning every subset."""
+    n = len(table)
+    out = set(range(n))
+    for A in oracle_subsets(n):
+        if oracle_is_ideal(table, leq, A, "two-sided"):
+            out &= A
+    return out
+
+
 def oracle_inverses(table, leq, a) -> set:
     n = len(table)
     return {
@@ -203,6 +225,17 @@ def oracle_green_related(table, leq, a, b, which) -> bool:
     kind = {"L": "left", "R": "right", "J": "two-sided"}[which]
     return oracle_principal_ideal(table, leq, a, kind) == oracle_principal_ideal(
         table, leq, b, kind
+    )
+
+
+def oracle_star_related(table, leq, a, b, which) -> bool:
+    """L*, R*, J* or H*: Green's relation of the first regular powers."""
+    return oracle_green_related(
+        table,
+        leq,
+        oracle_first_regular_power(table, leq, a),
+        oracle_first_regular_power(table, leq, b),
+        which[0],
     )
 
 

@@ -387,7 +387,7 @@ class TestVerify:
 
         def always_inconsistent(S):
             conditions = {"i": True, "ii": False}
-            return conditions, {}, {"note": "adaptation-mismatch"}
+            return conditions, {"note": "adaptation-mismatch"}
 
         monkeypatch.setitem(
             theorems._CATALOG,
@@ -412,7 +412,7 @@ class TestVerify:
 
         def always_inconsistent(S):
             conditions = {"i": True, "ii": False}
-            return conditions, {}, {"shape": "all-equivalent"}
+            return conditions, {"shape": "all-equivalent"}
 
         monkeypatch.setitem(
             theorems._CATALOG,

@@ -11,10 +11,17 @@ from conftest import (
     oracle_associative,
     oracle_compatible,
     oracle_downset,
+    oracle_first_regular_power,
+    oracle_green_related,
+    oracle_kernel,
+    oracle_ordered_idempotents,
     oracle_poset,
     oracle_power,
     oracle_power_values,
+    oracle_principal_ideal,
     oracle_product,
+    oracle_regular,
+    oracle_star_related,
     mask_set,
     structure_tables,
 )
@@ -36,10 +43,12 @@ from oseg.core import (
     power,
     subset_product,
     to_json_dict,
+    two_sided,
     validate,
 )
-from oseg.enumeration import enumerate_tables
+from oseg.enumeration import enumerate_ordered_semigroups, enumerate_tables
 from oseg.fixtures import FIXTURES, LZ2, N2, SL2, T1
+from oseg.relations import green_star
 
 
 DISCRETE2 = [[True, False], [False, True]]
@@ -290,3 +299,48 @@ class TestJson:
     def test_json_dict_matches(self, corpus2):
         for S in corpus2:
             assert from_json_dict(to_json_dict(S)) == S
+
+
+def assert_record_matches_oracles(S: OrderedSemigroup) -> None:
+    """Every field of S's two-sided record, and the starred relations read
+    off it, against the oracles."""
+    table, leq = structure_tables(S)
+    rng = range(S.n)
+    full = set(rng)
+    rec = two_sided(S)
+    for a in rng:
+        assert mask_set(rec.asa[a]) == oracle_downset(
+            leq, oracle_product(table, oracle_product(table, {a}, full), {a})
+        ), (S, a)
+        assert mask_set(rec.sas[a]) == oracle_downset(
+            leq, oracle_product(table, oracle_product(table, full, {a}), full)
+        ), (S, a)
+        assert mask_set(rec.ideal[a]) == oracle_principal_ideal(table, leq, a, "two-sided"), (S, a)
+        assert mask_set(rec.bi[a]) == oracle_principal_ideal(table, leq, a, "bi"), (S, a)
+        assert rec.first_regular[a] == oracle_first_regular_power(table, leq, a), (S, a)
+        for b in rng:
+            assert (rec.j_rows[a] >> b & 1 == 1) == oracle_green_related(table, leq, a, b, "J")
+            for which in ("L*", "R*", "J*", "H*"):
+                assert green_star(S, which).related(a, b) == oracle_star_related(
+                    table, leq, a, b, which
+                ), (S, a, b, which)
+    assert mask_set(rec.regular) == {a for a in rng if oracle_regular(table, leq, a)}, S
+    assert mask_set(rec.kernel) == oracle_kernel(table, leq), S
+    assert mask_set(rec.idempotents) == oracle_ordered_idempotents(table, leq), S
+
+
+class TestTwoSidedRecord:
+    def test_matches_oracles(self, corpus3):
+        for S in corpus3:
+            assert_record_matches_oracles(S)
+
+    @pytest.mark.slow
+    def test_matches_oracles_every_7th_order_4(self):
+        for i, S in enumerate(enumerate_ordered_semigroups(4)):
+            if i % 7 == 0:
+                assert_record_matches_oracles(S)
+
+    def test_n2(self):
+        rec = two_sided(N2)
+        assert (rec.kernel, rec.regular, rec.idempotents) == (0b01, 0b01, 0b01)
+        assert rec.first_regular == (0, 0)

@@ -100,6 +100,25 @@ def test_output_matches_golden(case, tmp_path):
     assert produce(case, str(tmp_path)) == expected
 
 
+def test_tiny_intern_bound_keeps_outputs(tmp_path, monkeypatch):
+    """The intern table is cleared whenever it is full.  Its memo is pure,
+    so even a bound of 4 must reproduce the golden report bundles and
+    verify output byte for byte."""
+    from oseg import ideals
+
+    saved = dict(ideals._INTERNED)
+    ideals._INTERNED.clear()
+    monkeypatch.setattr(ideals, "INTERN_LIMIT", 4)
+    try:
+        for case in ("report-bundles-o3.txt", "verify-o3-all.txt"):
+            with open(os.path.join(GOLDEN_DIR, case), encoding="utf-8", newline="") as fh:
+                assert produce(case, str(tmp_path)) == fh.read(), case
+        assert len(ideals._INTERNED) <= 4
+    finally:
+        ideals._INTERNED.clear()
+        ideals._INTERNED.update(saved)
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:

@@ -1,0 +1,154 @@
+"""The kill matrix: known faults, each pinned to the check that catches it.
+
+A mutant is one function of the package with one edit, made from the
+function's own source: an exact substring is replaced (it must occur
+once, so a rewrite that moves it fails here instead of testing nothing),
+the result is compiled against the function's module globals, and it is
+bound wherever a module holds the original.  The detector is either
+``verify --order 3 --all`` exiting 3 or a named oracle comparison failing.
+Every mutant below is caught at order 3, so none needs the slow marker.
+(DeMillo, Lipton and Sayward, "Hints on test data selection", IEEE
+Computer, 1978.)
+
+Memo caches live in each structure, but the intern table and the cached
+quotient partitions live in the process, so every mutant runs on fresh
+structures with both emptied, and both are restored afterwards.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import inspect
+import io
+import itertools
+import sys
+import textwrap
+
+import pytest
+
+from conftest import mask_set, oracle_pi_rv_set, structure_tables
+from oseg import cli, core, decomposition, ideals, regularity
+from oseg.enumeration import enumerate_ordered_semigroups
+from test_core import assert_record_matches_oracles
+from test_decomposition import assert_csl_lattice_matches_oracle
+
+
+def mutate(monkeypatch, fn, old: str, new: str) -> None:
+    """Bind fn with `old` replaced by `new` in its source, decorators and all,
+    in every module that holds fn: the package's and the tests' alike."""
+    real = inspect.unwrap(fn)
+    src = textwrap.dedent(inspect.getsource(real))
+    assert src.count(old) == 1, f"{real.__name__}: {old!r} does not occur exactly once"
+    ns = dict(real.__globals__)
+    exec(compile(src.replace(old, new), f"<mutant of {real.__name__}>", "exec"), ns)
+    mutant = ns[real.__name__]
+    bound = 0
+    for mod in list(sys.modules.values()):
+        for attr, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, attr, mutant)
+                bound += 1
+    assert bound, f"{real.__name__} is bound nowhere"
+
+
+@pytest.fixture
+def fresh_caches():
+    saved = dict(ideals._INTERNED)
+    ideals._INTERNED.clear()
+    decomposition._quotient_partitions.cache_clear()
+    yield
+    ideals._INTERNED.clear()
+    ideals._INTERNED.update(saved)
+    decomposition._quotient_partitions.cache_clear()
+
+
+def verify_exit(order: int = 3) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["verify", "--order", str(order), "--all"])
+
+
+def fresh_corpus(orders=(1, 2, 3)):
+    return list(itertools.chain.from_iterable(enumerate_ordered_semigroups(n) for n in orders))
+
+
+def fails(oracle_check, structures) -> bool:
+    """Whether the oracle comparison fails on some structure."""
+    for S in structures:
+        try:
+            oracle_check(S)
+        except AssertionError:
+            return True
+    return False
+
+
+def assert_pi_rv_matches_oracle(S) -> None:
+    assert mask_set(regularity.pi_rv_set(S)) == oracle_pi_rv_set(*structure_tables(S)), S
+
+
+#: mutant id -> (function, source substring, its replacement)
+MUTANTS = {
+    "asa-from-sa": (
+        core.two_sided,
+        "for u in iter_mask(right[a]):",
+        "for u in iter_mask(left[a]):",
+    ),
+    "sas-all-zero": (core.two_sided, "sas.append(y)", "sas.append(0)"),
+    "least-without-leq-seeds": (
+        decomposition.least_complete_semilattice_congruence,
+        "pairs += [(a, table[a][b]) for b in range(n) for a in iter_mask(down[b])]",
+        "pass",
+    ),
+    "quotient-partitions-unchecked": (
+        decomposition._quotient_partitions,
+        "if all(q[row[c]] == q[row[d]] for row in qtable for c, d in joined):",
+        "if True:",
+    ),
+    "nil-ideals-drop-last": (
+        decomposition.nil_extension_ideals,
+        "if is_nil_extension(S, K).ok)",
+        "if is_nil_extension(S, K).ok)[:-1]",
+    ),
+    "pi-rv-vacuous": (
+        regularity._pi_rv_mask,
+        "return _has_power_in(S, rv_set(S))",
+        "return _has_power_in(S, rv_set(S, True))",
+    ),
+}
+
+
+def test_detectors_are_clean_without_a_mutant(fresh_caches):
+    assert verify_exit() == 0
+    assert not fails(assert_pi_rv_matches_oracle, fresh_corpus())
+    assert not fails(assert_record_matches_oracles, fresh_corpus())
+    assert not fails(assert_csl_lattice_matches_oracle, fresh_corpus())
+
+
+@pytest.mark.parametrize("mutant", ["sas-all-zero", "nil-ideals-drop-last"])
+def test_verify_catches(mutant, monkeypatch, fresh_caches):
+    """Sides rebuilt from the table see these, such as cor-simple (iv),
+    which rebuilds (SbS], and lem-cao (ii), which rebuilds the powers."""
+    mutate(monkeypatch, *MUTANTS[mutant])
+    assert verify_exit() == 3
+
+
+@pytest.mark.parametrize("mutant", ["asa-from-sa", "sas-all-zero"])
+def test_record_oracle_catches(mutant, monkeypatch, fresh_caches):
+    """asa-from-sa has no other detector: under right pi-inverse,
+    t-Archimedean and l-Archimedean coincide (see README)."""
+    mutate(monkeypatch, *MUTANTS[mutant])
+    assert fails(assert_record_matches_oracles, fresh_corpus())
+
+
+@pytest.mark.parametrize("mutant", ["least-without-leq-seeds", "quotient-partitions-unchecked"])
+def test_csl_oracle_catches(mutant, monkeypatch, fresh_caches):
+    """Either mutant makes verify raise NotClosedError on a class that is
+    not multiplicatively closed; the oracle names the wrong congruence."""
+    mutate(monkeypatch, *MUTANTS[mutant])
+    assert fails(assert_csl_lattice_matches_oracle, fresh_corpus())
+
+
+def test_pi_rv_oracle_catches(monkeypatch, fresh_caches):
+    """The default pi rv set read under the vacuous reading: verify misses
+    it at orders 2, 3 and 4 (exit 0), the pi rv oracle does not."""
+    mutate(monkeypatch, *MUTANTS["pi-rv-vacuous"])
+    assert fails(assert_pi_rv_matches_oracle, fresh_corpus())

@@ -11,9 +11,10 @@ import pytest
 
 import oseg
 from conftest import oracle_divides, oracle_rv_set, structure_tables
-from oseg.core import OrderedSemigroup, OrderTooLargeError, canonical_json
+from oseg.core import OrderedSemigroup, OrderTooLargeError, canonical_json, members
 from oseg.enumeration import enumerate_ordered_semigroups
 from oseg.fixtures import FIXTURES, LZ2, N2, RZ2, SL2, T1
+from oseg.regularity import rv_set
 from oseg.theorems import (
     UnknownTheoremError,
     check,
@@ -277,6 +278,38 @@ class TestIndependentSides:
         assert rep.verdict == "COUNTEREXAMPLE"
         assert rep.conditions["vii_pi_inverse_and_t_archimedean"] is False
         assert rep.conditions["viii_rpi_and_t_archimedean"] is True
+
+
+class TestWitnessesOnDemand:
+    def test_consistent_path_builds_no_witness(self, corpus3, monkeypatch):
+        """With every entry's explain raising, check gives the same verdicts
+        and conditions on every structure of order <= 3, and verify the same
+        golden output: deciding never builds a witness."""
+        import dataclasses
+        import io
+        from contextlib import redirect_stdout
+
+        from oseg import cli, theorems
+
+        expected = [[(r.consistent, r.conditions) for r in check_all(S)] for S in corpus3]
+
+        def explain(S):
+            raise AssertionError("a witness was built")
+
+        for tid, entry in theorems._CATALOG.items():
+            monkeypatch.setitem(theorems._CATALOG, tid, dataclasses.replace(entry, explain=explain))
+        assert [[(r.consistent, r.conditions) for r in check_all(S)] for S in corpus3] == expected
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert cli.main(["verify", "--order", "3", "--all"]) == 0
+        golden = os.path.join(os.path.dirname(__file__), "golden", "verify-o3-all.txt")
+        with open(golden, encoding="utf-8", newline="") as fh:
+            assert buf.getvalue() == fh.read()
+
+    def test_witnesses_are_built_when_read(self):
+        rep = check(N2, "lem-ne51")
+        assert rep.witnesses == {"rv_set": members(rv_set(N2))}
+        assert rep.to_json_dict()["witnesses"] == rep.witnesses
 
 
 class TestExhaustiveConsistency:
