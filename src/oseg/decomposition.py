@@ -5,7 +5,7 @@ compatible with multiplication, identifies a with a*a and ab with ba,
 and identifies a with ab whenever a <= b.  Its classes are
 multiplicatively closed, so each class can be restricted to a structure
 of its own; all property checks on classes (and on nil-extension
-kernels) happen on that restricted structure, with downward closures
+ideals) happen on that restricted structure, with downward closures
 taken relative to the subset.
 """
 
@@ -20,11 +20,10 @@ from .core import (
     OrderTooLargeError,
     _least_power_in,
     derived,
-    downset,
     iter_mask,
     members,
 )
-from .ideals import all_ideals, is_ideal, kernel, restrict
+from .ideals import all_ideals, is_ideal, restrict
 
 #: partition scans are capped here; Bell(6) = 203 partitions
 MAX_PARTITION_ORDER = 6
@@ -36,7 +35,7 @@ def _check_order(n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# partitions and the two equivalent checkers
+# partitions and the congruence checker
 
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -65,44 +64,6 @@ def is_csl_congruence(S: OrderedSemigroup, class_of: tuple[int, ...]) -> bool:
     if any(class_of[a] != q[c] for a, c in enumerate(least.class_of)):
         return False
     return _partition(tuple(q)).class_of in _quotient_partitions(_quotient_table(S))
-
-
-def family_conditions_hold(S: OrderedSemigroup, class_of: tuple[int, ...]) -> bool:
-    """Family-style checker: the four semilattice-of-subsemigroups conditions.
-
-    The classes must multiply into single classes, the induced operation
-    on class ids must be a semilattice, and a class meeting the downward
-    closure of another must lie below it in the induced order
-    (beta <= alpha iff beta*alpha = beta).
-    """
-    n, table = S.n, S.table
-    cls = class_of
-    k = max(cls) + 1
-    prod: list[list[int | None]] = [[None] * k for _ in range(k)]
-    for a in range(n):
-        for b in range(n):
-            i, j, c = cls[a], cls[b], cls[table[a][b]]
-            if prod[i][j] is None:
-                prod[i][j] = c
-            elif prod[i][j] != c:
-                return False
-    for i in range(k):
-        if prod[i][i] != i:
-            return False
-        for j in range(k):
-            if prod[i][j] != prod[j][i]:
-                return False
-            for l in range(k):
-                if prod[prod[i][j]][l] != prod[i][prod[j][l]]:
-                    return False
-    cmask = [0] * k
-    for a in range(n):
-        cmask[cls[a]] |= 1 << a
-    for beta in range(k):
-        for alpha in range(k):
-            if cmask[beta] & downset(S, cmask[alpha]) and prod[beta][alpha] != beta:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +183,6 @@ def is_nil_extension(S: OrderedSemigroup, K: Mask) -> NilExtension:
     return NilExtension(None not in exps, exps)
 
 
-class NilExtensionOutcome(NamedTuple):
-    found: bool
-    ideal: Mask | None
-    reason: str | None  # "kernel-not-nil" | "type-fails" when not found
-    exponents: tuple[int | None, ...] | None
-
-
-@derived
-def _kernel_exponents(S: OrderedSemigroup) -> tuple[int | None, ...]:
-    """is_nil_extension(S, kernel(S)).exponents, the kernel being an ideal:
-    S is a nil-extension of its kernel iff None is not among them."""
-    return _least_power_in(S, kernel(S))
-
-
 @derived
 def nil_extension_ideals(S: OrderedSemigroup) -> tuple[Mask, ...]:
     """Every ideal K with S a nil-extension of K, in all_ideals order; order <= 6."""
@@ -245,30 +192,10 @@ def nil_extension_ideals(S: OrderedSemigroup) -> tuple[Mask, ...]:
 
 def nil_extension_of_type(
     S: OrderedSemigroup, tau: Callable[[OrderedSemigroup], bool]
-) -> NilExtensionOutcome:
-    """Test the kernel as the nil-extension ideal of type tau.
-
-    The kernel is the only candidate whenever tau implies one-sided or
-    two-sided simplicity (any nil ideal of such a type must equal the
-    kernel); the test suite cross-checks this shortcut against the
-    exhaustive scan at small orders.
-    """
-    K, exps = kernel(S), _kernel_exponents(S)
-    if None in exps:
-        return NilExtensionOutcome(False, None, "kernel-not-nil", exps)
-    if not tau(restrict(S, K).structure):
-        return NilExtensionOutcome(False, None, "type-fails", exps)
-    return NilExtensionOutcome(True, K, None, exps)
-
-
-def nil_extension_ideal_exists(
-    S: OrderedSemigroup, tau: Callable[[OrderedSemigroup], bool]
 ) -> Mask | None:
-    """Smallest ideal K with S a nil-extension of K and tau(K), if any.
-
-    Exhaustive over all ideals, so capped at order 6.  Needed for types
-    without a simplicity component, where the kernel shortcut is wrong.
-    """
+    """The first of nil_extension_ideals(S) of type tau, or None; order <= 6.
+    For a type implying simplicity that is the kernel or None: the kernel
+    comes first, and it is a proper ideal of every larger ideal."""
     for K in nil_extension_ideals(S):
         if tau(restrict(S, K).structure):
             return K

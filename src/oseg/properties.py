@@ -227,8 +227,8 @@ def to_text(e: Expr) -> str:
 def evaluate(S: OrderedSemigroup, e: Expr) -> bool:
     """Standard boolean semantics; atoms call their module operations.
 
-    csl-of atoms raise OrderTooLargeError above order 6 unless the least
-    congruence decides them.
+    Above order 6, nil-ext-of atoms raise OrderTooLargeError, and csl-of
+    atoms do unless the least congruence decides them.
     """
     if isinstance(e, Atom):
         return ATOMS[e.name](S)
@@ -239,7 +239,7 @@ def evaluate(S: OrderedSemigroup, e: Expr) -> bool:
     if isinstance(e, Or):
         return any(evaluate(S, a) for a in e.args)
     if isinstance(e, NilExtOf):
-        return nil_extension_of_type(S, type_of(e.arg)).found
+        return nil_extension_of_type(S, type_of(e.arg)) is not None
     if isinstance(e, CslOf):
         return is_complete_semilattice_of(S, type_of(e.arg)).holds
     raise TypeError(f"not a property expression: {e!r}")

@@ -18,11 +18,6 @@ from .core import Mask, OrderedSemigroup, _least_power_in, _power_masks, derived
 from .relations import green
 
 
-def is_regular(S: OrderedSemigroup, a: int) -> bool:
-    """a in (aSa]."""
-    return two_sided(S).regular >> a & 1 == 1
-
-
 def regular_elements(S: OrderedSemigroup) -> Mask:
     return two_sided(S).regular
 
@@ -34,6 +29,7 @@ def ordered_idempotents(S: OrderedSemigroup) -> Mask:
 
 @derived
 def _inverse_vector(S: OrderedSemigroup) -> tuple[Mask, ...]:
+    """V(a) for each a, the ordered inverses of a: nonempty iff a is regular."""
     n, table = S.n, S.table
     rows = []
     for a in range(n):
@@ -45,11 +41,6 @@ def _inverse_vector(S: OrderedSemigroup) -> tuple[Mask, ...]:
                 m |= 1 << b
         rows.append(m)
     return tuple(rows)
-
-
-def inverses(S: OrderedSemigroup, a: int) -> Mask:
-    """V(a), the ordered inverses of a.  Nonempty iff a is regular."""
-    return _inverse_vector(S)[a]
 
 
 def is_pi_regular(S: OrderedSemigroup) -> bool:

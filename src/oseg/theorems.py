@@ -27,7 +27,7 @@ from .decomposition import (
     _check_order,
     all_complete_semilattice_congruences,
     is_complete_semilattice_of,
-    nil_extension_ideal_exists,
+    is_nil_extension,
     nil_extension_ideals,
     nil_extension_of_type,
 )
@@ -138,13 +138,11 @@ def _equiv_violation(conditions: dict[str, bool]) -> dict | None:
 
 
 def _nilext_witness(S: OrderedSemigroup, tau) -> dict:
-    outcome = nil_extension_of_type(S, tau)
-    if outcome.found:
-        return {
-            "ideal": members(outcome.ideal),
-            "exponents": list(outcome.exponents),
-        }
-    return {"reason": outcome.reason}
+    K = nil_extension_of_type(S, tau)
+    if K is not None:
+        return {"ideal": members(K), "exponents": list(is_nil_extension(S, K).exponents)}
+    kernel_nil = ideals.kernel(S) in nil_extension_ideals(S)
+    return {"reason": "type-fails" if kernel_nil else "kernel-not-nil"}
 
 
 def _nilext_explainer(**taus) -> Callable:
@@ -235,7 +233,7 @@ def _eval_thm_74(S: OrderedSemigroup):
     pinv = is_pi_inverse(S)
     E = ordered_idempotents(S)
     conditions = {
-        "i_nilext_left_simple_pi_inverse": nil_extension_of_type(S, TAU_LEFT_SIMPLE_PI_INV).found,
+        "i_nilext_left_simple_pi_inverse": nil_extension_of_type(S, TAU_LEFT_SIMPLE_PI_INV) is not None,
         "ii_pi_inverse_and_l_archimedean": pinv and is_archimedean(S, "l"),
         "iii_pi_inverse_and_lstar_universal": pinv and green_star(S, "L*").is_universal(),
         "iv_pi_inverse_and_idempotents_lstar": pinv and _pairwise_related(green_star(S, "L*").rows, E),
@@ -243,7 +241,7 @@ def _eval_thm_74(S: OrderedSemigroup):
         "v_pi_regular_and_idempotents_hstar": _pairwise_related(green_star(S, "H*").rows, E),
         "vi_pi_regular_and_hstar_universal": green_star(S, "H*").is_universal(),
         "vii_pi_inverse_and_t_archimedean": pinv and is_archimedean(S, "t"),
-        "viii_nilext_t_simple_pi_inverse": nil_extension_of_type(S, TAU_T_SIMPLE_PI_INV).found,
+        "viii_nilext_t_simple_pi_inverse": nil_extension_of_type(S, TAU_T_SIMPLE_PI_INV) is not None,
     }
     return conditions, _equiv_violation(conditions)
 
@@ -252,7 +250,7 @@ def _eval_cor_76(S: OrderedSemigroup):
     pinv = is_pi_inverse(S)
     E = ordered_idempotents(S)
     conditions = {
-        "i_nilext_simple_pi_inverse": nil_extension_of_type(S, TAU_SIMPLE_PI_INV).found,
+        "i_nilext_simple_pi_inverse": nil_extension_of_type(S, TAU_SIMPLE_PI_INV) is not None,
         "ii_pi_inverse_and_idempotents_jstar": pinv and _pairwise_related(green_star(S, "J*").rows, E),
     }
     return conditions, _equiv_violation(conditions)
@@ -345,7 +343,7 @@ def _eval_thm_1005(S: OrderedSemigroup):
     pinv = is_pi_inverse(S)
     E = ordered_idempotents(S)
     conditions = {
-        "i_nilext_left_simple_rpi": nil_extension_of_type(S, TAU_LEFT_SIMPLE_RPI).found,
+        "i_nilext_left_simple_rpi": nil_extension_of_type(S, TAU_LEFT_SIMPLE_RPI) is not None,
         "ii_rpi_and_l_archimedean": rpi and is_archimedean(S, "l"),
         "iii_rpi_and_lstar_universal": rpi and green_star(S, "L*").is_universal(),
         "iv_rpi_and_idempotents_lstar": rpi and _pairwise_related(green_star(S, "L*").rows, E),
@@ -354,7 +352,7 @@ def _eval_thm_1005(S: OrderedSemigroup):
         "vi_pi_regular_and_hstar_universal": green_star(S, "H*").is_universal(),
         "vii_pi_inverse_and_t_archimedean": pinv and is_archimedean(S, "t"),
         "viii_rpi_and_t_archimedean": rpi and _raw_t_archimedean(S),
-        "ix_nilext_t_simple_rpi": nil_extension_of_type(S, TAU_T_SIMPLE_RPI).found,
+        "ix_nilext_t_simple_rpi": nil_extension_of_type(S, TAU_T_SIMPLE_RPI) is not None,
     }
     return conditions, _equiv_violation(conditions)
 
@@ -375,7 +373,7 @@ def _eval_cor_simple(S: OrderedSemigroup):
     rpi = is_right_pi_inverse(S)
     E = ordered_idempotents(S)
     conditions = {
-        "i_nilext_simple_rpi": nil_extension_of_type(S, TAU_SIMPLE_RPI).found,
+        "i_nilext_simple_rpi": nil_extension_of_type(S, TAU_SIMPLE_RPI) is not None,
         "ii_rpi_and_idempotents_jstar": rpi and _pairwise_related(green_star(S, "J*").rows, E),
         "iii_rpi_and_jstar_universal": rpi and green_star(S, "J*").is_universal(),
         "iv_rpi_and_powers_reach_sbs": rpi and _raw_archimedean(S),
@@ -385,7 +383,7 @@ def _eval_cor_simple(S: OrderedSemigroup):
 
 
 def _eval_cor_rinv_nilext(S: OrderedSemigroup):
-    lhs = nil_extension_ideal_exists(S, TAU_RIGHT_INVERSE) is not None
+    lhs = nil_extension_of_type(S, TAU_RIGHT_INVERSE) is not None
     rv = rv_set(S)
     table, down = S.table, S.down
     outside = full_mask(S.n) & ~rv
@@ -413,7 +411,7 @@ def _eval_cor_rinv_nilext(S: OrderedSemigroup):
 
 def _explain_cor_rinv_nilext(S: OrderedSemigroup) -> dict:
     witnesses: dict[str, object] = _rv_witness(S)
-    K = nil_extension_ideal_exists(S, TAU_RIGHT_INVERSE)
+    K = nil_extension_of_type(S, TAU_RIGHT_INVERSE)
     if K is not None:
         witnesses["ideal"] = members(K)
     return witnesses
@@ -456,7 +454,7 @@ def _csl_corollary(simple: str, arch: str) -> tuple[Callable, Callable]:
 
 def _eval_thm_774_adapted(S: OrderedSemigroup):
     conditions = {
-        "i_nilext_t_simple": nil_extension_of_type(S, TAU_T_SIMPLE).found,
+        "i_nilext_t_simple": nil_extension_of_type(S, TAU_T_SIMPLE) is not None,
         # the pi intra set is all of a finite S, so it is never empty
         "ii_t_archimedean_and_intra_nonempty": is_archimedean(S, "t"),
     }
@@ -478,42 +476,40 @@ def _explain_thm_774_adapted(S: OrderedSemigroup) -> dict:
 class CatalogEntry:
     """evaluate(S) returns (conditions, violation), and the claim holds on S
     iff violation is None; explain(S) returns the witnesses of a report.  A
-    capped entry scans every ideal or congruence, so it is skipped above
-    MAX_PARTITION_ORDER."""
+    capped entry, the default, scans every ideal or congruence (as every
+    nil-extension question does), so it is skipped above MAX_PARTITION_ORDER."""
 
     theorem_id: str
     evaluate: Callable
     explain: Callable = _no_witnesses
-    capped: bool = False
+    capped: bool = True
     adapted: bool = False
 
 
 _CATALOG: dict[str, CatalogEntry] = {
     e.theorem_id: e
     for e in (
-        CatalogEntry("thm-500", _eval_thm_500, _explain_thm_500),
-        CatalogEntry("thm-15", _eval_thm_15, _explain_thm_15),
+        CatalogEntry("thm-500", _eval_thm_500, _explain_thm_500, capped=False),
+        CatalogEntry("thm-15", _eval_thm_15, _explain_thm_15, capped=False),
         CatalogEntry(
             "thm-74",
             _eval_thm_74,
             _nilext_explainer(i=TAU_LEFT_SIMPLE_PI_INV, viii=TAU_T_SIMPLE_PI_INV),
         ),
         CatalogEntry("cor-76", _eval_cor_76, _nilext_explainer(i=TAU_SIMPLE_PI_INV)),
-        CatalogEntry("lem-cao", _eval_lem_cao, capped=True),
-        CatalogEntry("lem-ne51", _eval_lem_ne51, _rv_witness),
-        CatalogEntry("thm-ne511", _eval_thm_ne511, _rv_witness, capped=True),
-        CatalogEntry("lem-ne53", _eval_lem_ne53, _rv_witness, capped=True),
+        CatalogEntry("lem-cao", _eval_lem_cao),
+        CatalogEntry("lem-ne51", _eval_lem_ne51, _rv_witness, capped=False),
+        CatalogEntry("thm-ne511", _eval_thm_ne511, _rv_witness),
+        CatalogEntry("lem-ne53", _eval_lem_ne53, _rv_witness),
         CatalogEntry(
             "thm-1005",
             _eval_thm_1005,
             _nilext_explainer(i=TAU_LEFT_SIMPLE_RPI, ix=TAU_T_SIMPLE_RPI),
         ),
         CatalogEntry("cor-simple", _eval_cor_simple, _nilext_explainer(i=TAU_SIMPLE_RPI)),
-        CatalogEntry("cor-rinv-nilext", _eval_cor_rinv_nilext, _explain_cor_rinv_nilext, capped=True),
-        CatalogEntry("cor-1114", *_csl_corollary("simple", "archimedean"), capped=True),
-        CatalogEntry(
-            "cor-leftsimple", *_csl_corollary("left-simple", "l-archimedean"), capped=True
-        ),
+        CatalogEntry("cor-rinv-nilext", _eval_cor_rinv_nilext, _explain_cor_rinv_nilext),
+        CatalogEntry("cor-1114", *_csl_corollary("simple", "archimedean")),
+        CatalogEntry("cor-leftsimple", *_csl_corollary("left-simple", "l-archimedean")),
         CatalogEntry(
             "thm-774-adapted", _eval_thm_774_adapted, _explain_thm_774_adapted, adapted=True
         ),

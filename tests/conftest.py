@@ -12,7 +12,7 @@ from itertools import permutations, product
 
 import pytest
 
-from oseg.core import OrderedSemigroup, members
+from oseg.core import OrderedSemigroup, downset, members
 from oseg.enumeration import enumerate_ordered_semigroups
 from oseg.fixtures import FIXTURES
 
@@ -411,6 +411,46 @@ def oracle_csl_congruences(table, leq) -> list[tuple]:
         ):
             out.append(cls)
     return out
+
+
+def family_conditions_hold(S: OrderedSemigroup, class_of: tuple[int, ...]) -> bool:
+    """Family-style checker: the four semilattice-of-subsemigroups conditions,
+    the second definition of a complete semilattice congruence that the
+    package's congruence-style is_csl_congruence is compared with.
+
+    The classes must multiply into single classes, the induced operation
+    on class ids must be a semilattice, and a class meeting the downward
+    closure of another must lie below it in the induced order
+    (beta <= alpha iff beta*alpha = beta).
+    """
+    n, table = S.n, S.table
+    cls = class_of
+    k = max(cls) + 1
+    prod: list[list[int | None]] = [[None] * k for _ in range(k)]
+    for a in range(n):
+        for b in range(n):
+            i, j, c = cls[a], cls[b], cls[table[a][b]]
+            if prod[i][j] is None:
+                prod[i][j] = c
+            elif prod[i][j] != c:
+                return False
+    for i in range(k):
+        if prod[i][i] != i:
+            return False
+        for j in range(k):
+            if prod[i][j] != prod[j][i]:
+                return False
+            for l in range(k):
+                if prod[prod[i][j]][l] != prod[i][prod[j][l]]:
+                    return False
+    cmask = [0] * k
+    for a in range(n):
+        cmask[cls[a]] |= 1 << a
+    for beta in range(k):
+        for alpha in range(k):
+            if cmask[beta] & downset(S, cmask[alpha]) and prod[beta][alpha] != beta:
+                return False
+    return True
 
 
 def oracle_relabelings(table, leq) -> list[tuple]:

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from conftest import (
+    family_conditions_hold,
     oracle_all_structures,
     oracle_all_tables,
     oracle_archimedean,
@@ -27,7 +28,6 @@ from oseg.cli import analyze_report, main
 from oseg.core import canonical_json
 from oseg.decomposition import (
     all_complete_semilattice_congruences,
-    family_conditions_hold,
     is_csl_congruence,
     least_complete_semilattice_congruence,
     partitions,

@@ -443,6 +443,17 @@ class TestSearch:
         )
         assert code == 0 and out.strip() == "3"
 
+    def test_nil_ext_of_scans_every_ideal(self, capsys):
+        """nil-ext-of(right-inverse) holds on the classes that are a
+        nil-extension of some right inverse ideal, not only of the kernel
+        (which finds 1476 of them)."""
+        code, out = run(
+            capsys,
+            "search", "--order", "4", "--dedup", "iso",
+            "--where", "nil-ext-of(right-inverse)", "--count",
+        )
+        assert code == 0 and out.strip() == "2716"
+
     def test_no_match_first_exit_3(self, capsys):
         code, _ = run(capsys, "search", "--order", "1", "--where", "!simple", "--first")
         assert code == 3

@@ -7,6 +7,7 @@ from itertools import islice
 import pytest
 
 from conftest import (
+    family_conditions_hold,
     mask_set,
     oracle_csl_congruences,
     oracle_is_ideal,
@@ -21,12 +22,10 @@ from oseg.decomposition import (
     OrderTooLargeError,
     _partition,
     all_complete_semilattice_congruences,
-    family_conditions_hold,
     is_complete_semilattice_of,
     is_csl_congruence,
     is_nil_extension,
     least_complete_semilattice_congruence,
-    nil_extension_ideal_exists,
     nil_extension_ideals,
     nil_extension_of_type,
     partitions,
@@ -36,7 +35,13 @@ from oseg.fixtures import LZ2, N2, RZ2, SL2, T1
 from oseg.ideals import all_ideals, kernel, restrict
 from oseg.properties import evaluate, parse_property_expr, type_of
 from oseg.regularity import is_right_pi_inverse
-from oseg.theorems import TAU_RIGHT_INVERSE, TAU_SIMPLE_RPI, TAU_T_SIMPLE, TAU_T_SIMPLE_RPI
+from oseg.theorems import (
+    TAU_RIGHT_INVERSE,
+    TAU_SIMPLE_RPI,
+    TAU_T_SIMPLE,
+    TAU_T_SIMPLE_RPI,
+    _nilext_witness,
+)
 
 TAU_SIMPLE = type_of(parse_property_expr("simple"))
 TAU_LEFT_SIMPLE = type_of(parse_property_expr("left-simple"))
@@ -44,7 +49,7 @@ TAU_ARCHIMEDEAN = type_of(parse_property_expr("archimedean"))
 
 
 def TAU_NE_T_SIMPLE_RPI(S):
-    return nil_extension_of_type(S, TAU_T_SIMPLE_RPI).found
+    return nil_extension_of_type(S, TAU_T_SIMPLE_RPI) is not None
 
 
 TAU_RPI = is_right_pi_inverse
@@ -93,7 +98,8 @@ class TestNilExtension:
 
     def test_nil_extension_ideals(self, corpus3):
         """The shared tuple is is_nil_extension per ideal and the oracle's
-        choice; the kernel decision is the oracle's on the kernel."""
+        choice; it starts with the kernel iff the oracle finds the kernel nil,
+        and it always ends with the whole set."""
         for S in corpus3:
             table, leq = structure_tables(S)
             fresh = OrderedSemigroup(S.n, S.table, S.down)
@@ -103,30 +109,44 @@ class TestNilExtension:
             assert expected == tuple(
                 K for K in all_ideals(S) if oracle_nil_extension(table, leq, mask_set(K))
             )
-            assert (None not in decomposition._kernel_exponents(fresh)) == oracle_nil_extension(
+            assert (expected[0] == kernel(S)) == oracle_nil_extension(
                 table, leq, mask_set(kernel(S))
             )
+            assert expected[-1] == full_mask(S.n)
+
+
+def nilext_by_definition(S, tau) -> bool:
+    """Some ideal K of S, by the oracle, with every element having a power
+    in K and the restriction to K of type tau."""
+    table, leq = structure_tables(S)
+    return any(
+        oracle_nil_extension(table, leq, mask_set(K)) and tau(restrict(S, K).structure)
+        for K in range(1, 1 << S.n)
+    )
 
 
 class TestNilExtensionOfType:
+    """The first nil-extension ideal of the type, or None; the reasons a
+    report gives for None are read through theorems._nilext_witness."""
+
     def test_n2_t_simple_rpi(self):
-        out = nil_extension_of_type(N2, TAU_T_SIMPLE_RPI)
-        assert out.found and mask_set(out.ideal) == {0}
+        assert mask_set(nil_extension_of_type(N2, TAU_T_SIMPLE_RPI)) == {0}
+        assert _nilext_witness(N2, TAU_T_SIMPLE_RPI) == {"ideal": [0], "exponents": [1, 2]}
 
     def test_rz2_left_simple_fails_type(self):
-        out = nil_extension_of_type(RZ2, TAU_LEFT_SIMPLE)
-        assert not out.found and out.reason == "type-fails"
+        assert nil_extension_of_type(RZ2, TAU_LEFT_SIMPLE) is None
+        assert _nilext_witness(RZ2, TAU_LEFT_SIMPLE) == {"reason": "type-fails"}
 
     def test_lz2_simple(self):
-        out = nil_extension_of_type(LZ2, TAU_SIMPLE)
-        assert out.found and mask_set(out.ideal) == {0, 1}
+        assert mask_set(nil_extension_of_type(LZ2, TAU_SIMPLE)) == {0, 1}
 
     def test_sl2_kernel_not_nil(self):
-        out = nil_extension_of_type(SL2, TAU_SIMPLE)
-        assert not out.found and out.reason == "kernel-not-nil"
+        assert nil_extension_of_type(SL2, TAU_SIMPLE) is None
+        assert _nilext_witness(SL2, TAU_SIMPLE) == {"reason": "kernel-not-nil"}
 
-    def test_kernel_shortcut_matches_ideal_scan_for_simplicity_types(self, corpus3):
-        """With a simplicity component in tau, the kernel is the only candidate."""
+    def test_simplicity_types_find_the_kernel_or_nothing(self, corpus3):
+        """With a simplicity component in tau, no ideal above the kernel can
+        pass, since the kernel is a proper ideal of it."""
         types = {
             "simple": TAU_SIMPLE,
             "left-simple": TAU_LEFT_SIMPLE,
@@ -136,16 +156,26 @@ class TestNilExtensionOfType:
         }
         for S in corpus3:
             for name, tau in types.items():
-                via_kernel = nil_extension_of_type(S, tau).found
-                via_scan = nil_extension_ideal_exists(S, tau) is not None
-                assert via_kernel == via_scan, (S, name)
+                K = nil_extension_of_type(S, tau)
+                assert K in (kernel(S), None), (S, name)
+                assert (K is not None) == nilext_by_definition(S, tau), (S, name)
 
-    def test_kernel_shortcut_wrong_without_simplicity(self):
+    def test_sl2_is_a_nil_extension_of_itself(self):
         """SL2 is trivially a nil-extension of itself, which is right inverse,
-        but its kernel is not a nil-extension ideal; the exhaustive scan is
-        the faithful reading for such types."""
-        assert nil_extension_ideal_exists(SL2, TAU_RIGHT_INVERSE) == full_mask(2)
-        assert not nil_extension_of_type(SL2, TAU_RIGHT_INVERSE).found
+        though its kernel is not a nil-extension ideal: a type without a
+        simplicity component can be found above the kernel."""
+        assert nil_extension_of_type(SL2, TAU_RIGHT_INVERSE) == full_mask(2)
+        assert _nilext_witness(SL2, TAU_RIGHT_INVERSE) == {"ideal": [0, 1], "exponents": [1, 1]}
+
+    @pytest.mark.parametrize("tau", ["right-inverse", "regular", "!simple"])
+    def test_nil_ext_of_atom_by_definition(self, corpus3, tau):
+        """evaluate's nil-ext-of(tau) against the oracle's nil-extension
+        ideals and the type, over every ideal, for types with no
+        simplicity component."""
+        e = parse_property_expr(f"nil-ext-of({tau})")
+        t = type_of(parse_property_expr(tau))
+        for S in corpus3:
+            assert evaluate(S, e) == nilext_by_definition(S, t), (S, tau)
 
 
 class TestCongruenceCheckers:

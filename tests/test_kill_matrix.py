@@ -108,6 +108,11 @@ MUTANTS = {
         "if is_nil_extension(S, K).ok)",
         "if is_nil_extension(S, K).ok)[:-1]",
     ),
+    "nil-ext-skips-kernel": (
+        decomposition.nil_extension_of_type,
+        "for K in nil_extension_ideals(S):",
+        "for K in nil_extension_ideals(S)[1:]:",
+    ),
     "pi-rv-vacuous": (
         regularity._pi_rv_mask,
         "return _has_power_in(S, rv_set(S))",
@@ -123,10 +128,12 @@ def test_detectors_are_clean_without_a_mutant(fresh_caches):
     assert not fails(assert_csl_lattice_matches_oracle, fresh_corpus())
 
 
-@pytest.mark.parametrize("mutant", ["sas-all-zero", "nil-ideals-drop-last"])
+@pytest.mark.parametrize("mutant", ["sas-all-zero", "nil-ideals-drop-last", "nil-ext-skips-kernel"])
 def test_verify_catches(mutant, monkeypatch, fresh_caches):
     """Sides rebuilt from the table see these, such as cor-simple (iv),
-    which rebuilds (SbS], and lem-cao (ii), which rebuilds the powers."""
+    which rebuilds (SbS], and lem-cao (ii), which rebuilds the powers; a
+    nil-extension side that skips the kernel disagrees with the sides
+    decided without one, such as thm-74 (ii)."""
     mutate(monkeypatch, *MUTANTS[mutant])
     assert verify_exit() == 3
 

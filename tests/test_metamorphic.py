@@ -78,11 +78,11 @@ def _right_simple_lpi(T: OrderedSemigroup) -> bool:
 
 
 def _nilext_right_simple(T: OrderedSemigroup) -> bool:
-    return nil_extension_of_type(T, _right_simple).found
+    return nil_extension_of_type(T, _right_simple) is not None
 
 
 def _nilext_right_simple_lpi(T: OrderedSemigroup) -> bool:
-    return nil_extension_of_type(T, _right_simple_lpi).found
+    return nil_extension_of_type(T, _right_simple_lpi) is not None
 
 
 def _r_archimedean(T: OrderedSemigroup) -> bool:

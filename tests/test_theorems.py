@@ -62,8 +62,13 @@ class TestCatalogSurface:
         assert precondition_unmet(big, "lem-cao") is not None
         with pytest.raises(OrderTooLargeError):
             check(big, "thm-ne511")
-        # the cheap theorems still run
-        assert precondition_unmet(big, "thm-1005") is None
+        # a nil-extension condition scans every ideal, so its entry is capped
+        assert precondition_unmet(big, "thm-1005") is not None
+        with pytest.raises(OrderTooLargeError):
+            check(big, "thm-1005")
+        # the entries that read neither ideals nor congruences still run
+        for tid in ("thm-500", "thm-15", "lem-ne51"):
+            assert precondition_unmet(big, tid) is None
 
     def test_adapted_flag(self):
         assert check(T1, "thm-774-adapted").adapted
@@ -150,7 +155,11 @@ class TestFixtureFacts:
         big = OrderedSemigroup(n, table, down)
         bundle = report_bundle(big)
         assert "skipped" in bundle["theorems"]["lem-cao"]
-        assert bundle["theorems"]["thm-1005"]["verdict"] == "consistent"
+        assert "skipped" in bundle["theorems"]["thm-1005"]
+        for tid in ("thm-500", "thm-15", "lem-ne51"):
+            assert bundle["theorems"][tid]["verdict"] == "consistent", tid
+        skipped = [tid for tid, rep in bundle["theorems"].items() if "skipped" in rep]
+        assert skipped == [tid for tid in CATALOG if tid not in ("thm-500", "thm-15", "lem-ne51")]
 
 
 _BUNDLES_SCRIPT = """
