@@ -298,25 +298,10 @@ def power(S: OrderedSemigroup, a: int, m: int) -> int:
     return x
 
 
-@derived
-def _powers(S: OrderedSemigroup) -> tuple[tuple[int, ...], ...]:
-    """powers[a][m-1] = a^m for m in 1..n.  Every distinct power occurs here."""
-    n, table = S.n, S.table
-    rows = []
-    for a in range(n):
-        vals = [a]
-        x = a
-        for _ in range(n - 1):
-            x = table[x][a]
-            vals.append(x)
-        rows.append(tuple(vals))
-    return tuple(rows)
-
-
 def _least_power_in(S: OrderedSemigroup, mask: Mask) -> tuple[int | None, ...]:
     """Per element a, the least m in 1..n with a^m in mask, or None."""
     out: list[int | None] = []
-    for powers in _powers(S):
+    for powers in one_sided(S).powers:
         w = None
         for m, p in enumerate(powers, start=1):
             if mask >> p & 1:
@@ -326,33 +311,17 @@ def _least_power_in(S: OrderedSemigroup, mask: Mask) -> tuple[int | None, ...]:
     return tuple(out)
 
 
-@derived
-def _power_masks(S: OrderedSemigroup) -> tuple[Mask, ...]:
-    """power_masks[a] = bitmask of all distinct powers of a."""
-    return tuple(mask_of(row) for row in _powers(S))
+def _with_power_in(power_masks: Sequence[Mask], mask: Mask) -> Mask:
+    """The elements a with some power in mask, power_masks[a] holding a's powers."""
+    return mask_of(a for a, powers in enumerate(power_masks) if powers & mask)
 
 
-def _closed_products(S: OrderedSemigroup, flavor: str) -> tuple[Mask, ...]:
-    """(Sa], (aS], (aSa] or (SaS] of each element a, for the flavor "l",
-    "r", "t" or "two-sided": the one-sided ones from their own derived
-    slots, the others from the two-sided record."""
-    if flavor == "t":
-        return two_sided(S).asa
-    if flavor == "two-sided":
-        return two_sided(S).sas
-    return _one_sided_products(S, flavor)
-
-
-@derived
-def _one_sided_products(S: OrderedSemigroup, flavor: str) -> tuple[Mask, ...]:
-    """(Sa] for "l", from the table's columns, or (aS] for "r", from its rows."""
-    if flavor == "l":
-        lines = zip(*S.table)
-    elif flavor == "r":
-        lines = S.table
-    else:
-        raise ValueError(f"unknown Archimedean flavor {flavor!r}")
-    return tuple(downset(S, mask_of(line)) for line in lines)
+def _pairwise_related(rows: tuple[Mask, ...], subset: Mask) -> bool:
+    """All pairs inside subset related (rows is an equivalence relation)."""
+    if subset == 0:
+        return True
+    first = (subset & -subset).bit_length() - 1
+    return subset & ~rows[first] == 0
 
 
 def _rows_from_keys(keys) -> tuple[Mask, ...]:
@@ -361,6 +330,77 @@ def _rows_from_keys(keys) -> tuple[Mask, ...]:
     for i, k in enumerate(keys):
         by_key[k] = by_key.get(k, 0) | (1 << i)
     return tuple(by_key[k] for k in keys)
+
+
+class OneSided(NamedTuple):
+    """What one-sided and pi-inverse questions read, built in one pass by
+    :func:`one_sided`.
+
+    Per element a: powers[a][m-1] = a^m for m in 1..n, where every
+    distinct power occurs, and their mask; (Sa] and (aS]; the principal
+    left and right ideals L(a) = (a u Sa] and R(a) = (a u aS]; a's rows
+    of Green's L, R and H; and V(a), the ordered inverses b of a
+    (a <= aba and b <= bab), nonempty iff a is regular.  Then, for each
+    of L, R and H, the agree mask, the a with V(a) nonempty and pairwise
+    related (R's is the rv set), and the pi mask, the elements with some
+    power in the agree mask.
+    """
+
+    powers: tuple[tuple[int, ...], ...]
+    power_masks: tuple[Mask, ...]
+    sa: tuple[Mask, ...]
+    as_: tuple[Mask, ...]
+    left_ideal: tuple[Mask, ...]
+    right_ideal: tuple[Mask, ...]
+    l_rows: tuple[Mask, ...]
+    r_rows: tuple[Mask, ...]
+    h_rows: tuple[Mask, ...]
+    inverses: tuple[Mask, ...]
+    l_agree: Mask
+    r_agree: Mask
+    h_agree: Mask
+    l_pi: Mask
+    r_pi: Mask
+    h_pi: Mask
+
+
+@derived
+def one_sided(S: OrderedSemigroup) -> OneSided:
+    """The one-sided record of S: (Sa] from the table's columns, (aS]
+    from its rows, and a ~ b under L (R) iff L(a) = L(b) (R(a) = R(b))."""
+    n, table, down = S.n, S.table, S.down
+    powers = []
+    for a in range(n):
+        x, row = a, [a]
+        for _ in range(n - 1):
+            x = table[x][a]
+            row.append(x)
+        powers.append(tuple(row))
+    power_masks = tuple(mask_of(row) for row in powers)
+    sa = tuple(downset(S, mask_of(col)) for col in zip(*table))
+    as_ = tuple(downset(S, mask_of(row)) for row in table)
+    left = tuple(d | m for d, m in zip(down, sa))
+    right = tuple(d | m for d, m in zip(down, as_))
+    l_rows, r_rows = _rows_from_keys(left), _rows_from_keys(right)
+    h_rows = tuple(lr & rr for lr, rr in zip(l_rows, r_rows))
+    inverses = tuple(
+        mask_of(
+            b for b in range(n)
+            if down[table[table[a][b]][a]] >> a & 1 and down[table[table[b][a]][b]] >> b & 1
+        )
+        for a in range(n)
+    )
+    l_agree, r_agree, h_agree = (
+        mask_of(a for a, v in enumerate(inverses) if v and _pairwise_related(rows, v))
+        for rows in (l_rows, r_rows, h_rows)
+    )
+    l_pi = _with_power_in(power_masks, l_agree)
+    r_pi = _with_power_in(power_masks, r_agree)
+    h_pi = _with_power_in(power_masks, h_agree)
+    return OneSided(
+        tuple(powers), power_masks, sa, as_, left, right, l_rows, r_rows, h_rows, inverses,
+        l_agree, r_agree, h_agree, l_pi, r_pi, h_pi,
+    )
 
 
 class TwoSided(NamedTuple):
@@ -390,9 +430,10 @@ class TwoSided(NamedTuple):
 def two_sided(S: OrderedSemigroup) -> TwoSided:
     """The two-sided record of S.  Compatibility of the order gives
     (aSa] = ((aS]a] and (SaS] = ((Sa]S], so both are built on the closed
-    one-sided products."""
+    one-sided products of the one-sided record."""
     n, table, down = S.n, S.table, S.down
-    left, right = _one_sided_products(S, "l"), _one_sided_products(S, "r")
+    one = one_sided(S)
+    left, right = one.sa, one.as_
     rows = [mask_of(row) for row in table]
     asa, sas, ideal, bi = [], [], [], []
     regular = idempotents = 0
@@ -411,7 +452,7 @@ def two_sided(S: OrderedSemigroup) -> TwoSided:
         kernel &= ideal[a]
         regular |= x & 1 << a
         idempotents |= down[table[a][a]] & 1 << a
-    first_regular = tuple(next(p for p in ps if regular >> p & 1) for ps in _powers(S))
+    first_regular = tuple(next(p for p in ps if regular >> p & 1) for ps in one.powers)
     return TwoSided(
         tuple(asa), tuple(sas), tuple(ideal), tuple(bi), _rows_from_keys(ideal),
         first_regular, regular, kernel, idempotents,

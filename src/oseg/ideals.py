@@ -7,12 +7,12 @@ from typing import NamedTuple
 from .core import (
     Mask,
     OrderedSemigroup,
-    _one_sided_products,
     derived,
     downset,
     full_mask,
     iter_mask,
     members,
+    one_sided,
     subset_product,
     two_sided,
 )
@@ -28,30 +28,21 @@ class NotClosedError(ValueError):
         super().__init__(f"subset not closed under multiplication: {a}*{b} escapes")
 
 
+#: each kind's principal ideals, read off the record that holds them
+_PRINCIPAL = {
+    "left": lambda S: one_sided(S).left_ideal,  # L(a) = (a u Sa]
+    "right": lambda S: one_sided(S).right_ideal,  # R(a) = (a u aS]
+    "two-sided": lambda S: two_sided(S).ideal,  # I(a) = (a u Sa u aS u SaS]
+    "bi": lambda S: two_sided(S).bi,  # B(a) = (a u aSa]
+}
+
+
 def _principal_vector(S: OrderedSemigroup, kind: str) -> tuple[Mask, ...]:
-    """principal ideal of each element, as one vector per kind: (a] joined
-    with the kind's closed products.
-
-    left   L(a) = (a u Sa]
-    right  R(a) = (a u aS]
-    two-sided  I(a) = (a u Sa u aS u SaS]
-    bi     B(a) = (a u aSa]
-
-    The two-sided and bi vectors are read off the two-sided record.
-    """
-    if kind == "two-sided":
-        return two_sided(S).ideal
-    if kind == "bi":
-        return two_sided(S).bi
-    return _one_sided_vector(S, kind)
-
-
-@derived
-def _one_sided_vector(S: OrderedSemigroup, kind: str) -> tuple[Mask, ...]:
-    if kind not in ("left", "right"):
+    """The principal ideal of each element, for the kind."""
+    vector = _PRINCIPAL.get(kind)
+    if vector is None:
         raise ValueError(f"unknown ideal kind {kind!r}")
-    products = _one_sided_products(S, "l" if kind == "left" else "r")
-    return tuple(d | m for d, m in zip(S.down, products))
+    return vector(S)
 
 
 def principal_ideal(S: OrderedSemigroup, a: int, kind: str) -> Mask:
@@ -162,6 +153,6 @@ def _proper_restriction(S: OrderedSemigroup, mask: Mask) -> Restriction:
 def all_ideals(S: OrderedSemigroup) -> list[Mask]:
     """Every two-sided ideal, a nonempty union of principal ones, by (size, mask)."""
     out = {0}
-    for v in _principal_vector(S, "two-sided"):
+    for v in two_sided(S).ideal:
         out |= {m | v for m in out}
     return sorted(out - {0}, key=lambda m: (m.bit_count(), m))

@@ -14,8 +14,7 @@ Membership conventions (these matter and are easy to get backwards):
 
 from __future__ import annotations
 
-from .core import Mask, OrderedSemigroup, _least_power_in, _power_masks, derived, full_mask, mask_of, two_sided
-from .relations import green
+from .core import Mask, OrderedSemigroup, _least_power_in, _with_power_in, full_mask, one_sided, two_sided
 
 
 def regular_elements(S: OrderedSemigroup) -> Mask:
@@ -25,22 +24,6 @@ def regular_elements(S: OrderedSemigroup) -> Mask:
 def ordered_idempotents(S: OrderedSemigroup) -> Mask:
     """{e : e <= e*e}."""
     return two_sided(S).idempotents
-
-
-@derived
-def _inverse_vector(S: OrderedSemigroup) -> tuple[Mask, ...]:
-    """V(a) for each a, the ordered inverses of a: nonempty iff a is regular."""
-    n, table = S.n, S.table
-    rows = []
-    for a in range(n):
-        m = 0
-        for b in range(n):
-            aba = table[table[a][b]][a]
-            bab = table[table[b][a]][b]
-            if S.leq(a, aba) and S.leq(b, bab):
-                m |= 1 << b
-        rows.append(m)
-    return tuple(rows)
 
 
 def is_pi_regular(S: OrderedSemigroup) -> bool:
@@ -63,48 +46,19 @@ def pi_intra_set(S: OrderedSemigroup) -> Mask:
     return full_mask(S.n)
 
 
-def _pairwise_related(rows: tuple[Mask, ...], subset: Mask) -> bool:
-    """All pairs inside subset related (rows is an equivalence relation)."""
-    if subset == 0:
-        return True
-    first = (subset & -subset).bit_length() - 1
-    return subset & ~rows[first] == 0
-
-
-@derived
-def _agree_mask(S: OrderedSemigroup, which: str) -> Mask:
-    """The a with V(a) nonempty and pairwise related by the Green relation
-    ``which``."""
-    rows = green(S, which).rows
-    m = 0
-    for a, v in enumerate(_inverse_vector(S)):
-        if v and _pairwise_related(rows, v):
-            m |= 1 << a
-    return m
-
-
-def _has_power_in(S: OrderedSemigroup, mask: Mask) -> Mask:
-    """The elements with some power a^m (m in 1..n) in mask."""
-    return mask_of(a for a, powers in enumerate(_power_masks(S)) if powers & mask)
-
-
 def rv_set(S: OrderedSemigroup, include_irregular: bool = False) -> Mask:
     """Elements whose ordered inverses are pairwise R-related."""
+    rv = one_sided(S).r_agree
     if include_irregular:
-        return _agree_mask(S, "R") | full_mask(S.n) & ~regular_elements(S)
-    return _agree_mask(S, "R")
-
-
-@derived
-def _pi_rv_mask(S: OrderedSemigroup) -> Mask:
-    return _has_power_in(S, rv_set(S))
+        return rv | full_mask(S.n) & ~regular_elements(S)
+    return rv
 
 
 def pi_rv_set(S: OrderedSemigroup, include_irregular: bool = False) -> Mask:
     """Elements with some power whose inverses are pairwise R-related."""
     if include_irregular:
-        return _has_power_in(S, rv_set(S, True))
-    return _pi_rv_mask(S)
+        return _with_power_in(one_sided(S).power_masks, rv_set(S, True))
+    return one_sided(S).r_pi
 
 
 def pi_rv_witness(S: OrderedSemigroup) -> tuple[int | None, ...]:
@@ -113,27 +67,23 @@ def pi_rv_witness(S: OrderedSemigroup) -> tuple[int | None, ...]:
 
 
 # The pi-inverse family needs no pi-regularity conjunct (see is_pi_regular).
-# Each verdict is derived: the catalog asks for it many times per structure.
 
-@derived
+
 def is_right_pi_inverse(S: OrderedSemigroup) -> bool:
     """Some power of each element has R-related inverses."""
-    return pi_rv_set(S) == full_mask(S.n)
+    return one_sided(S).r_pi == full_mask(S.n)
 
 
-@derived
 def is_left_pi_inverse(S: OrderedSemigroup) -> bool:
-    return _has_power_in(S, _agree_mask(S, "L")) == full_mask(S.n)
+    return one_sided(S).l_pi == full_mask(S.n)
 
 
-@derived
 def is_pi_inverse(S: OrderedSemigroup) -> bool:
     """The H-related reading, the common refinement of left and right."""
-    return _has_power_in(S, _agree_mask(S, "H")) == full_mask(S.n)
+    return one_sided(S).h_pi == full_mask(S.n)
 
 
-@derived
 def is_right_inverse(S: OrderedSemigroup) -> bool:
     """Every element regular with pairwise R-related inverses; rv_set
     already leaves out the irregular elements, whose V(a) is empty."""
-    return rv_set(S) == full_mask(S.n)
+    return one_sided(S).r_agree == full_mask(S.n)

@@ -7,15 +7,13 @@ from dataclasses import dataclass
 from .core import (
     Mask,
     OrderedSemigroup,
-    _closed_products,
-    _power_masks,
     _rows_from_keys,
     derived,
     full_mask,
     members,
+    one_sided,
     two_sided,
 )
-from .ideals import _principal_vector
 
 STAR_KINDS = ("L*", "R*", "J*", "H*")
 
@@ -43,24 +41,21 @@ class EquivalenceRelation:
         return all(r == full for r in self.rows)
 
 
+#: each relation's rows, read off the record that holds them
+_ROWS = {
+    "L": lambda S: one_sided(S).l_rows,
+    "R": lambda S: one_sided(S).r_rows,
+    "H": lambda S: one_sided(S).h_rows,
+    "J": lambda S: two_sided(S).j_rows,
+}
+
+
 def green(S: OrderedSemigroup, which: str) -> EquivalenceRelation:
-    """a ~ b iff the corresponding principal ideals agree; H = L and R.
-    J's rows are read off the two-sided record."""
-    if which == "J":
-        return EquivalenceRelation(two_sided(S).j_rows)
-    return _one_sided_green(S, which)
-
-
-@derived
-def _one_sided_green(S: OrderedSemigroup, which: str) -> EquivalenceRelation:
-    if which == "H":
-        lrows = _one_sided_green(S, "L").rows
-        rrows = _one_sided_green(S, "R").rows
-        return EquivalenceRelation(tuple(lr & rr for lr, rr in zip(lrows, rrows)))
-    if which not in ("L", "R"):
+    """a ~ b iff the corresponding principal ideals agree; H = L and R."""
+    rows = _ROWS.get(which)
+    if rows is None:
         raise ValueError(f"unknown Green relation {which!r}")
-    kind = "left" if which == "L" else "right"
-    return EquivalenceRelation(_rows_from_keys(_principal_vector(S, kind)))
+    return EquivalenceRelation(rows(S))
 
 
 @derived
@@ -79,6 +74,16 @@ def green_star(S: OrderedSemigroup, which: str) -> EquivalenceRelation:
     return EquivalenceRelation(rows)
 
 
+#: the closed set of each element that every power must reach, per
+#: flavor, read off the record that holds it
+_ARCHIMEDEAN_TARGETS = {
+    "two-sided": lambda S: two_sided(S).sas,
+    "l": lambda S: one_sided(S).sa,
+    "r": lambda S: one_sided(S).as_,
+    "t": lambda S: two_sided(S).asa,
+}
+
+
 @derived
 def is_archimedean(S: OrderedSemigroup, flavor: str) -> bool:
     """Every pair (a, b) has some m with b^m in the flavor's closed set.
@@ -87,5 +92,8 @@ def is_archimedean(S: OrderedSemigroup, flavor: str) -> bool:
     over m in 1..n is exhaustive because the distinct powers of b all
     occur in that range.
     """
-    pows = _power_masks(S)
-    return all(all(p & target for p in pows) for target in _closed_products(S, flavor))
+    targets = _ARCHIMEDEAN_TARGETS.get(flavor)
+    if targets is None:
+        raise ValueError(f"unknown Archimedean flavor {flavor!r}")
+    pows = one_sided(S).power_masks
+    return all(all(p & target for p in pows) for target in targets(S))

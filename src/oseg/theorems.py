@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import ideals
-from .core import Mask, OrderedSemigroup, derived, downset, full_mask, iter_mask, mask_of, members, two_sided
+from .core import Mask, OrderedSemigroup, _pairwise_related, derived, downset, full_mask, iter_mask, mask_of, members, two_sided
 from .decomposition import (
     MAX_PARTITION_ORDER,
     _check_order,
@@ -33,7 +33,6 @@ from .decomposition import (
 )
 from .properties import parse_property_expr, type_of
 from .regularity import (
-    _pairwise_related,
     is_pi_inverse,
     is_right_inverse,
     is_right_pi_inverse,
@@ -99,8 +98,8 @@ def _implication_on(rel_a, rel_b, mask: Mask) -> bool:
 def _raw_power_masks(S: OrderedSemigroup) -> list[Mask]:
     """Per element, the mask of a^1..a^n, straight from the table.
 
-    For conditions that restate a cached one independently; sharing
-    core._powers would collapse the equivalence they check.  Those
+    For conditions that restate a cached one independently; sharing the
+    one-sided record's powers would collapse the equivalence they check.  Those
     conditions only read it, so they share one copy.
     """
     pow_masks = [0] * S.n

@@ -13,14 +13,19 @@ from conftest import (
     oracle_downset,
     oracle_first_regular_power,
     oracle_green_related,
+    oracle_inverses,
     oracle_kernel,
     oracle_ordered_idempotents,
+    oracle_pairwise_related,
+    oracle_pi_inverse_family,
+    oracle_pi_rv_set,
     oracle_poset,
     oracle_power,
     oracle_power_values,
     oracle_principal_ideal,
     oracle_product,
     oracle_regular,
+    oracle_rv_set,
     oracle_star_related,
     mask_set,
     structure_tables,
@@ -32,13 +37,13 @@ from oseg.core import (
     NotPartialOrder,
     OrderedSemigroup,
     StructureFormatError,
-    _powers,
     axiom_violations,
     canonical_json,
     downset,
     from_json_dict,
     full_mask,
     mask_of,
+    one_sided,
     parse_structure,
     power,
     subset_product,
@@ -247,7 +252,7 @@ class TestPowers:
                 S = OrderedSemigroup(
                     n, table, tuple(1 << i for i in range(n))
                 )  # discrete order; powers ignore leq
-                for a, row in enumerate(_powers(S)):
+                for a, row in enumerate(one_sided(S).powers):
                     assert set(row) == oracle_power_values(table, a)
                     assert row == tuple(oracle_power(table, a, m) for m in range(1, n + 1))
 
@@ -327,6 +332,46 @@ def assert_record_matches_oracles(S: OrderedSemigroup) -> None:
     assert mask_set(rec.regular) == {a for a in rng if oracle_regular(table, leq, a)}, S
     assert mask_set(rec.kernel) == oracle_kernel(table, leq), S
     assert mask_set(rec.idempotents) == oracle_ordered_idempotents(table, leq), S
+
+
+def assert_one_sided_matches_oracles(S: OrderedSemigroup) -> None:
+    """Every field of S's one-sided record against the oracles."""
+    table, leq = structure_tables(S)
+    rng = range(S.n)
+    full = set(rng)
+    rec = one_sided(S)
+    for a in rng:
+        assert rec.powers[a] == tuple(oracle_power(table, a, m) for m in range(1, S.n + 1)), (S, a)
+        assert mask_set(rec.power_masks[a]) == oracle_power_values(table, a), (S, a)
+        assert mask_set(rec.sa[a]) == oracle_downset(leq, oracle_product(table, full, {a})), (S, a)
+        assert mask_set(rec.as_[a]) == oracle_downset(leq, oracle_product(table, {a}, full)), (S, a)
+        assert mask_set(rec.left_ideal[a]) == oracle_principal_ideal(table, leq, a, "left"), (S, a)
+        assert mask_set(rec.right_ideal[a]) == oracle_principal_ideal(table, leq, a, "right"), (S, a)
+        for which, rows in (("L", rec.l_rows), ("R", rec.r_rows), ("H", rec.h_rows)):
+            for b in rng:
+                assert (rows[a] >> b & 1 == 1) == oracle_green_related(table, leq, a, b, which), (S, a, b)
+        assert mask_set(rec.inverses[a]) == oracle_inverses(table, leq, a), (S, a)
+    assert mask_set(rec.r_agree) == oracle_rv_set(table, leq), S
+    assert mask_set(rec.r_pi) == oracle_pi_rv_set(table, leq), S
+    for which, agree, pi in (("L", rec.l_agree, rec.l_pi), ("H", rec.h_agree, rec.h_pi)):
+        assert mask_set(agree) == {
+            a for a in rng if (v := oracle_inverses(table, leq, a)) and oracle_pairwise_related(table, leq, v, which)
+        }, (S, which)
+        assert mask_set(pi) == {a for a in rng if oracle_power_values(table, a) & mask_set(agree)}, (S, which)
+    for which, pi in (("L", rec.l_pi), ("R", rec.r_pi), ("H", rec.h_pi)):
+        assert (pi == full_mask(S.n)) == oracle_pi_inverse_family(table, leq, which), (S, which)
+
+
+class TestOneSidedRecord:
+    def test_matches_oracles(self, corpus3):
+        for S in corpus3:
+            assert_one_sided_matches_oracles(S)
+
+    @pytest.mark.slow
+    def test_matches_oracles_every_7th_order_4(self):
+        for i, S in enumerate(enumerate_ordered_semigroups(4)):
+            if i % 7 == 0:
+                assert_one_sided_matches_oracles(S)
 
 
 class TestTwoSidedRecord:

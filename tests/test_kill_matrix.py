@@ -5,8 +5,9 @@ function's own source: an exact substring is replaced (it must occur
 once, so a rewrite that moves it fails here instead of testing nothing),
 the result is compiled against the function's module globals, and it is
 bound wherever a module holds the original.  The detector is either
-``verify --order 3 --all`` exiting 3 or a named oracle comparison failing.
-Every mutant below is caught at order 3, so none needs the slow marker.
+``verify --order 3 --all`` (``--order 2`` where that suffices) exiting 3
+or a named oracle comparison failing.  Every mutant below is caught at
+order 3, so none needs the slow marker.
 (DeMillo, Lipton and Sayward, "Hints on test data selection", IEEE
 Computer, 1978.)
 
@@ -27,9 +28,10 @@ import textwrap
 import pytest
 
 from conftest import mask_set, oracle_pi_rv_set, structure_tables
-from oseg import cli, core, decomposition, ideals, regularity
+from oseg import cli, core, decomposition, enumeration, ideals, regularity
 from oseg.enumeration import enumerate_ordered_semigroups
-from test_core import assert_record_matches_oracles
+import test_enumeration
+from test_core import assert_one_sided_matches_oracles, assert_record_matches_oracles
 from test_decomposition import assert_csl_lattice_matches_oracle
 
 
@@ -84,6 +86,9 @@ def fails(oracle_check, structures) -> bool:
 def assert_pi_rv_matches_oracle(S) -> None:
     assert mask_set(regularity.pi_rv_set(S)) == oracle_pi_rv_set(*structure_tables(S)), S
 
+#: every compatible order of every table of order n against the filtered posets
+assert_orders_match_oracle = test_enumeration.TestCompatibleOrders.assert_matches_filter_oracle
+
 
 #: mutant id -> (function, source substring, its replacement)
 MUTANTS = {
@@ -114,9 +119,30 @@ MUTANTS = {
         "for K in nil_extension_ideals(S)[1:]:",
     ),
     "pi-rv-vacuous": (
-        regularity._pi_rv_mask,
-        "return _has_power_in(S, rv_set(S))",
-        "return _has_power_in(S, rv_set(S, True))",
+        core.one_sided,
+        "r_pi = _with_power_in(power_masks, r_agree)",
+        "r_pi = _with_power_in(power_masks, r_agree | mask_of(a for a, v in enumerate(inverses) if not v))",
+    ),
+    "one-sided-swapped": (
+        core.one_sided,
+        "sa = tuple(downset(S, mask_of(col)) for col in zip(*table))\n"
+        "    as_ = tuple(downset(S, mask_of(row)) for row in table)",
+        "sa = tuple(downset(S, mask_of(row)) for row in table)\n"
+        "    as_ = tuple(downset(S, mask_of(col)) for col in zip(*table))",
+    ),
+    "sas-without-downset": (core.two_sided, "x, y = downset(S, x), downset(S, y)", "x, y = downset(S, x), y"),
+    "downset-ignores-order": (core.downset, "out |= S.down[a]", "out |= 1 << a"),
+    "powers-one-short": (core.one_sided, "for _ in range(n - 1):", "for _ in range(n - 2):"),
+    "power-mask-drops-last": (
+        core.one_sided,
+        "power_masks = tuple(mask_of(row) for row in powers)",
+        "power_masks = tuple(mask_of(row[:-1]) for row in powers)",
+    ),
+    "assoc-skips-ab-role": (enumeration._assoc_ok, "q = row_b[z]", "q = -1"),
+    "orders-without-right-compatibility": (
+        enumeration.enumerate_compatible_orders,
+        "+ [(y, image) for y, image in zip(table[c], cols)]",
+        "",
     ),
 }
 
@@ -125,17 +151,45 @@ def test_detectors_are_clean_without_a_mutant(fresh_caches):
     assert verify_exit() == 0
     assert not fails(assert_pi_rv_matches_oracle, fresh_corpus())
     assert not fails(assert_record_matches_oracles, fresh_corpus())
+    assert not fails(assert_one_sided_matches_oracles, fresh_corpus())
     assert not fails(assert_csl_lattice_matches_oracle, fresh_corpus())
+    assert not fails(assert_orders_match_oracle, (1, 2, 3))
 
 
-@pytest.mark.parametrize("mutant", ["sas-all-zero", "nil-ideals-drop-last", "nil-ext-skips-kernel"])
+@pytest.mark.parametrize(
+    "mutant",
+    ["sas-all-zero", "nil-ideals-drop-last", "nil-ext-skips-kernel", "sas-without-downset", "assoc-skips-ab-role"],
+)
 def test_verify_catches(mutant, monkeypatch, fresh_caches):
     """Sides rebuilt from the table see these, such as cor-simple (iv),
     which rebuilds (SbS], and lem-cao (ii), which rebuilds the powers; a
     nil-extension side that skips the kernel disagrees with the sides
-    decided without one, such as thm-74 (ii)."""
+    decided without one, such as thm-74 (ii).  sas-without-downset and
+    assoc-skips-ab-role pass verify at order 2 (exit 0); tables that skip
+    an associativity role are not semigroups, on which the sides part."""
     mutate(monkeypatch, *MUTANTS[mutant])
     assert verify_exit() == 3
+
+
+@pytest.mark.parametrize("mutant", ["one-sided-swapped", "downset-ignores-order", "power-mask-drops-last"])
+def test_verify_at_order_2_catches(mutant, monkeypatch, fresh_caches):
+    """Faults in what every side reads, caught on the two-element structures."""
+    mutate(monkeypatch, *MUTANTS[mutant])
+    assert verify_exit(2) == 3
+
+
+def test_one_sided_oracle_catches(monkeypatch, fresh_caches):
+    """Powers one short: verify raises RuntimeError (the first regular
+    power is missing from some row), the record oracle names the row."""
+    mutate(monkeypatch, *MUTANTS["powers-one-short"])
+    assert fails(assert_one_sided_matches_oracles, fresh_corpus())
+
+
+def test_order_oracle_catches(monkeypatch, fresh_caches):
+    """Orders closed without right compatibility: verify misses it at
+    orders 2 and 3 (exit 0), the filtered posets do not."""
+    mutate(monkeypatch, *MUTANTS["orders-without-right-compatibility"])
+    assert fails(assert_orders_match_oracle, (1, 2, 3))
 
 
 @pytest.mark.parametrize("mutant", ["asa-from-sa", "sas-all-zero"])

@@ -19,11 +19,11 @@ from conftest import (
     oracle_simple,
     structure_tables,
 )
+from oseg.core import one_sided
 from oseg.decomposition import is_nil_extension
 from oseg.enumeration import enumerate_ordered_semigroups
 from oseg.ideals import is_simple, kernel, principal_ideal
 from oseg.regularity import (
-    _inverse_vector,
     is_pi_inverse,
     is_right_pi_inverse,
     regular_elements,
@@ -46,7 +46,7 @@ def test_order4_sample_against_oracles():
         table, leq = structure_tables(S)
         for a in range(4):
             assert bool(regular_elements(S) >> a & 1) == oracle_regular(table, leq, a)
-            assert mask_set(_inverse_vector(S)[a]) == oracle_inverses(table, leq, a)
+            assert mask_set(one_sided(S).inverses[a]) == oracle_inverses(table, leq, a)
             assert mask_set(principal_ideal(S, a, "left")) == oracle_principal_ideal(
                 table, leq, a, "left"
             )

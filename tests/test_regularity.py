@@ -19,11 +19,10 @@ from conftest import (
     oracle_rv_set_vacuous,
     structure_tables,
 )
-from oseg.core import OrderedSemigroup, full_mask
+from oseg.core import OrderedSemigroup, full_mask, one_sided
 from oseg.enumeration import enumerate_tables
 from oseg.fixtures import LZ2, N2, RZ2, SL2, T1
 from oseg.regularity import (
-    _inverse_vector,
     is_intra_pi_regular,
     is_left_pi_inverse,
     is_pi_inverse,
@@ -69,27 +68,27 @@ class TestOrderedIdempotents:
 
 class TestInverses:
     def test_fixtures(self):
-        assert mask_set(_inverse_vector(LZ2)[0]) == {0, 1}
-        assert _inverse_vector(N2)[1] == 0
-        assert mask_set(_inverse_vector(N2)[0]) == {0}
-        assert mask_set(_inverse_vector(SL2)[1]) == {1}
+        assert mask_set(one_sided(LZ2).inverses[0]) == {0, 1}
+        assert one_sided(N2).inverses[1] == 0
+        assert mask_set(one_sided(N2).inverses[0]) == {0}
+        assert mask_set(one_sided(SL2).inverses[1]) == {1}
 
     def test_matches_oracle(self, corpus3):
         for S in corpus3:
             table, leq = structure_tables(S)
             for a in range(S.n):
-                assert mask_set(_inverse_vector(S)[a]) == oracle_inverses(table, leq, a)
+                assert mask_set(one_sided(S).inverses[a]) == oracle_inverses(table, leq, a)
 
     def test_nonempty_iff_regular(self, corpus3):
         for S in corpus3:
             for a in range(S.n):
-                assert (_inverse_vector(S)[a] != 0) == bool(regular_elements(S) >> a & 1)
+                assert (one_sided(S).inverses[a] != 0) == bool(regular_elements(S) >> a & 1)
 
     def test_products_with_inverse_are_ordered_idempotents(self, corpus3):
         for S in corpus3:
             e_mask = ordered_idempotents(S)
             for a in range(S.n):
-                for b in mask_set(_inverse_vector(S)[a]):
+                for b in mask_set(one_sided(S).inverses[a]):
                     assert e_mask >> S.mul(a, b) & 1
                     assert e_mask >> S.mul(b, a) & 1
 
@@ -155,7 +154,7 @@ class TestRvSets:
                 from oseg.core import power
 
                 p = power(S, a, w)
-                v = _inverse_vector(S)[p]
+                v = one_sided(S).inverses[p]
                 assert v != 0
                 first = (v & -v).bit_length() - 1
                 assert v & ~rrows[first] == 0
@@ -230,10 +229,10 @@ class TestMemoizedVerdicts:
             assert verdict(fresh) == expected, (name, S)
 
     def test_repeat_reads_the_memo(self):
-        """A planted memo entry is what a repeat returns."""
+        """A planted one-sided record is what a repeat reads."""
         fresh = OrderedSemigroup(N2.n, N2.table, N2.down)
         assert is_right_pi_inverse(fresh) and pi_rv_set(fresh) == 0b11
-        fresh._cache[is_right_pi_inverse.__wrapped__] = False
+        fresh._cache[one_sided.__wrapped__] = one_sided(fresh)._replace(r_pi=0)
         assert not is_right_pi_inverse(fresh)
 
     def test_verdict_is_per_structure_not_per_table(self, corpus3):

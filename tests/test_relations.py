@@ -11,7 +11,7 @@ from conftest import (
     structure_tables,
 )
 from oseg.fixtures import LZ2, N2, RZ2, SL2, T1
-from oseg.ideals import principal_ideal
+from oseg.ideals import is_ideal, is_simple, principal_ideal
 from oseg.regularity import regular_elements
 from oseg.relations import green, green_star, is_archimedean
 
@@ -174,3 +174,22 @@ class TestArchimedean:
     def test_unknown_flavor(self):
         with pytest.raises(ValueError):
             is_archimedean(T1, "diagonal")
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda S, kind: principal_ideal(S, 0, kind), "x"),
+        (lambda S, kind: is_ideal(S, 0b01, kind), "x"),
+        (is_simple, "x"),
+        (green, "X"),
+        (green_star, "L"),
+        (is_archimedean, "diagonal"),
+    ],
+    ids=["principal_ideal", "is_ideal", "is_simple", "green", "green_star", "is_archimedean"],
+)
+def test_name_tables_reject_unknown_names(call, name):
+    """Each lookup of a record field by name raises ValueError for a name
+    its table does not hold."""
+    with pytest.raises(ValueError, match="unknown"):
+        call(N2, name)

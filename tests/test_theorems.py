@@ -11,7 +11,7 @@ import pytest
 
 import oseg
 from conftest import oracle_divides, oracle_rv_set, structure_tables
-from oseg.core import OrderedSemigroup, OrderTooLargeError, canonical_json, members
+from oseg.core import OrderedSemigroup, OrderTooLargeError, canonical_json, members, one_sided, two_sided
 from oseg.enumeration import enumerate_ordered_semigroups
 from oseg.fixtures import FIXTURES, LZ2, N2, RZ2, SL2, T1
 from oseg.regularity import rv_set
@@ -237,13 +237,11 @@ class TestLemNe51Shape:
 
 
 class TestIndependentSides:
-    def test_thm_15_catches_a_broken_witness(self, monkeypatch):
+    def test_thm_15_catches_a_broken_witness(self):
         """Condition ii of thm-15 does not read the pi-agreement witness, so
         a witness that finds nothing must surface as a counterexample."""
-        import oseg.regularity
-
-        monkeypatch.setattr(oseg.regularity, "_agree_mask", lambda S, which: 0)
         fresh = OrderedSemigroup(T1.n, T1.table, T1.down)
+        fresh._cache[one_sided.__wrapped__] = one_sided(T1)._replace(r_agree=0, r_pi=0)
         rep = check(fresh, "thm-15")
         assert rep.verdict == "COUNTEREXAMPLE"
         assert rep.conditions == {
@@ -251,38 +249,26 @@ class TestIndependentSides:
             "ii_some_power_has_r_related_inverses": True,
         }
 
-    def test_cor_simple_catches_a_broken_closure(self, monkeypatch):
+    def test_cor_simple_catches_a_broken_closure(self):
         """Condition iv of cor-simple builds (SbS] from the table, so (SaS]
         closed products that lose every element must surface as a
         counterexample through condition v alone."""
-        import oseg.relations
-
-        closed = oseg.relations._closed_products
-        monkeypatch.setattr(
-            oseg.relations,
-            "_closed_products",
-            lambda S, flavor: (0,) * S.n if flavor == "two-sided" else closed(S, flavor),
-        )
         fresh = OrderedSemigroup(T1.n, T1.table, T1.down)
+        fresh._cache[two_sided.__wrapped__] = two_sided(T1)._replace(sas=(0,) * T1.n)
         rep = check(fresh, "cor-simple")
         assert rep.verdict == "COUNTEREXAMPLE"
         assert rep.conditions["iv_rpi_and_powers_reach_sbs"] is True
         assert rep.conditions["v_rpi_and_archimedean"] is False
 
-    def test_thm_1005_catches_a_broken_closure(self, monkeypatch):
+    def test_thm_1005_catches_a_broken_closure(self):
         """Condition viii of thm-1005 builds (aSa] from the table, so (aSa]
         closed products that keep only a itself (the regular elements stay
         the same) must surface as a counterexample through condition vii alone."""
-        import oseg.relations
-
-        closed = oseg.relations._closed_products
-
-        def broken(S, flavor):
-            products = closed(S, flavor)
-            return tuple(m & 1 << a for a, m in enumerate(products)) if flavor == "t" else products
-
-        monkeypatch.setattr(oseg.relations, "_closed_products", broken)
+        rec = two_sided(N2)
         fresh = OrderedSemigroup(N2.n, N2.table, N2.down)
+        fresh._cache[two_sided.__wrapped__] = rec._replace(
+            asa=tuple(m & 1 << a for a, m in enumerate(rec.asa))
+        )
         rep = check(fresh, "thm-1005")
         assert rep.verdict == "COUNTEREXAMPLE"
         assert rep.conditions["vii_pi_inverse_and_t_archimedean"] is False
