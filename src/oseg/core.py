@@ -429,22 +429,21 @@ class TwoSided(NamedTuple):
 @derived
 def two_sided(S: OrderedSemigroup) -> TwoSided:
     """The two-sided record of S.  Compatibility of the order gives
-    (aSa] = ((aS]a] and (SaS] = ((Sa]S], so both are built on the closed
-    one-sided products of the one-sided record."""
+    (aSa] = ((aS]a], the union of (ua] over u in (aS], and
+    (SaS] = ((Sa]S], the union of (uS] over u in (Sa], so both are built
+    on the closed one-sided products of the one-sided record."""
     n, table, down = S.n, S.table, S.down
     one = one_sided(S)
     left, right = one.sa, one.as_
-    rows = [mask_of(row) for row in table]
     asa, sas, ideal, bi = [], [], [], []
     regular = idempotents = 0
     kernel = full_mask(n)
     for a in range(n):
         x = y = 0
         for u in iter_mask(right[a]):
-            x |= 1 << table[u][a]
+            x |= down[table[u][a]]
         for u in iter_mask(left[a]):
-            y |= rows[u]
-        x, y = downset(S, x), downset(S, y)
+            y |= right[u]
         asa.append(x)
         sas.append(y)
         ideal.append(down[a] | left[a] | right[a] | y)

@@ -22,8 +22,9 @@ from .core import (
     derived,
     iter_mask,
     members,
+    one_sided,
 )
-from .ideals import all_ideals, is_ideal, restrict
+from .ideals import all_ideals, is_ideal, kernel, restrict
 
 #: partition scans are capped here; Bell(6) = 203 partitions
 MAX_PARTITION_ORDER = 6
@@ -185,18 +186,27 @@ def is_nil_extension(S: OrderedSemigroup, K: Mask) -> NilExtension:
 
 @derived
 def nil_extension_ideals(S: OrderedSemigroup) -> tuple[Mask, ...]:
-    """Every ideal K with S a nil-extension of K, in all_ideals order; order <= 6."""
+    """Every ideal K with S a nil-extension of K, the ideals that every
+    element has a power in, in all_ideals order; order <= 6."""
     _check_order(S.n)
-    return tuple(K for K in all_ideals(S) if is_nil_extension(S, K).ok)
+    power_masks = one_sided(S).power_masks
+    return tuple(K for K in all_ideals(S) if all(p & K for p in power_masks))
 
 
 def nil_extension_of_type(
     S: OrderedSemigroup, tau: Callable[[OrderedSemigroup], bool]
 ) -> Mask | None:
     """The first of nil_extension_ideals(S) of type tau, or None; order <= 6.
-    For a type implying simplicity that is the kernel or None: the kernel
-    comes first, and it is a proper ideal of every larger ideal."""
-    for K in nil_extension_ideals(S):
+
+    A type that implies simplicity (type_of marks it implies_simple)
+    holds on no ideal but the kernel: a simple ideal K of S is the
+    kernel, since the kernel is an ideal of K.  Such a type tests the
+    kernel alone, when it leads nil_extension_ideals(S), and else nothing.
+    """
+    nil = nil_extension_ideals(S)
+    if getattr(tau, "implies_simple", False):
+        nil = nil[:1] if nil[:1] == (kernel(S),) else ()
+    for K in nil:
         if tau(restrict(S, K).structure):
             return K
     return None

@@ -131,19 +131,22 @@ def _proper_restriction(S: OrderedSemigroup, mask: Mask) -> Restriction:
     elems = members(mask)
     index = {old: new for new, old in enumerate(elems)}
     table = S.table
+    sub_table = []
     for a in elems:
-        row = table[a]
+        row, sub_row = table[a], []
         for b in elems:
-            if mask >> row[b] & 1 == 0:
+            c = index.get(row[b])
+            if c is None:
                 raise NotClosedError(a, b)
-    sub_table = tuple(tuple(index[table[a][b]] for b in elems) for a in elems)
+            sub_row.append(c)
+        sub_table.append(tuple(sub_row))
     sub_down = []
     for j in elems:
         m = 0
         for i in iter_mask(S.down[j] & mask):
             m |= 1 << index[i]
         sub_down.append(m)
-    sub = OrderedSemigroup(len(elems), sub_table, tuple(sub_down))
+    sub = OrderedSemigroup(len(elems), tuple(sub_table), tuple(sub_down))
     if len(_INTERNED) >= INTERN_LIMIT:
         _INTERNED.clear()
     return Restriction(structure=_INTERNED.setdefault(sub, sub), embed=tuple(elems))

@@ -245,9 +245,27 @@ def evaluate(S: OrderedSemigroup, e: Expr) -> bool:
     raise TypeError(f"not a property expression: {e!r}")
 
 
+#: the atoms that hold only on simple structures (left and t-simplicity imply simplicity)
+_SIMPLICITY_ATOMS = ("simple", "left-simple", "t-simple")
+
+
+def _implies_simplicity(e: Expr) -> bool:
+    """Whether only simple structures have type e: a simplicity atom, or a
+    conjunction with such an argument.  Under '|', '!', nil-ext-of and
+    csl-of the answer is no."""
+    if isinstance(e, Atom):
+        return e.name in _SIMPLICITY_ATOMS
+    if isinstance(e, And):
+        return any(_implies_simplicity(a) for a in e.args)
+    return False
+
+
 @cache
 def type_of(e: Expr) -> Callable[[OrderedSemigroup], bool]:
     """The expression as a type, the predicate S -> evaluate(S, e) that
     nil-ext-of and csl-of test their parts with; one function per tree,
-    its verdict on S kept in S's derived cache."""
-    return derived(lambda S: evaluate(S, e))
+    its verdict on S kept in S's derived cache, and its implies_simple
+    attribute set by _implies_simplicity(e)."""
+    tau = derived(lambda S: evaluate(S, e))
+    tau.implies_simple = _implies_simplicity(e)
+    return tau

@@ -59,19 +59,24 @@ def green(S: OrderedSemigroup, which: str) -> EquivalenceRelation:
 
 
 @derived
+def _starred(S: OrderedSemigroup) -> dict[str, EquivalenceRelation]:
+    """The starred relations by name: a ~ b under L*, R* or J* iff the first
+    regular powers of a and b are related under L, R or J; H* = L* and R*."""
+    one, two = one_sided(S), two_sided(S)
+    lrows, rrows, jrows = (
+        _rows_from_keys([rows[r] for r in two.first_regular])
+        for rows in (one.l_rows, one.r_rows, two.j_rows)
+    )
+    hrows = tuple(lr & rr for lr, rr in zip(lrows, rrows))
+    return dict(zip(STAR_KINDS, map(EquivalenceRelation, (lrows, rrows, jrows, hrows))))
+
+
 def green_star(S: OrderedSemigroup, which: str) -> EquivalenceRelation:
     """Starred relation: compare the first regular powers of the elements."""
-    if which not in STAR_KINDS:
+    rel = _starred(S).get(which)
+    if rel is None:
         raise ValueError(f"unknown starred relation {which!r}")
-    if which == "H*":
-        lrows = green_star(S, "L*").rows
-        rrows = green_star(S, "R*").rows
-        rows = tuple(lr & rr for lr, rr in zip(lrows, rrows))
-    else:
-        reps = two_sided(S).first_regular
-        base = green(S, which[0]).rows
-        rows = _rows_from_keys([base[r] for r in reps])
-    return EquivalenceRelation(rows)
+    return rel
 
 
 #: the closed set of each element that every power must reach, per
@@ -96,4 +101,8 @@ def is_archimedean(S: OrderedSemigroup, flavor: str) -> bool:
     if targets is None:
         raise ValueError(f"unknown Archimedean flavor {flavor!r}")
     pows = one_sided(S).power_masks
-    return all(all(p & target for p in pows) for target in targets(S))
+    for target in targets(S):
+        for p in pows:
+            if not p & target:
+                return False
+    return True

@@ -36,9 +36,13 @@ from oseg.ideals import all_ideals, kernel, restrict
 from oseg.properties import evaluate, parse_property_expr, type_of
 from oseg.regularity import is_right_pi_inverse
 from oseg.theorems import (
+    TAU_LEFT_SIMPLE_PI_INV,
+    TAU_LEFT_SIMPLE_RPI,
     TAU_RIGHT_INVERSE,
+    TAU_SIMPLE_PI_INV,
     TAU_SIMPLE_RPI,
     TAU_T_SIMPLE,
+    TAU_T_SIMPLE_PI_INV,
     TAU_T_SIMPLE_RPI,
     _nilext_witness,
 )
@@ -125,6 +129,35 @@ def nilext_by_definition(S, tau) -> bool:
     )
 
 
+#: the catalog's seven simplicity types and the two simplicity atoms they
+#: leave out, each implying simplicity, then two types that do not
+KERNEL_RULE_TYPES = {
+    "simple": TAU_SIMPLE,
+    "left-simple": TAU_LEFT_SIMPLE,
+    "t-simple": TAU_T_SIMPLE,
+    "left-simple & right-pi-inverse": TAU_LEFT_SIMPLE_RPI,
+    "t-simple & right-pi-inverse": TAU_T_SIMPLE_RPI,
+    "simple & right-pi-inverse": TAU_SIMPLE_RPI,
+    "left-simple & pi-inverse": TAU_LEFT_SIMPLE_PI_INV,
+    "t-simple & pi-inverse": TAU_T_SIMPLE_PI_INV,
+    "simple & pi-inverse": TAU_SIMPLE_PI_INV,
+    "simple | right-inverse": type_of(parse_property_expr("simple | right-inverse")),
+    "!simple": type_of(parse_property_expr("!simple")),
+}
+FULL_SCAN_TYPES = ("simple | right-inverse", "!simple")
+
+
+def assert_kernel_rule_by_definition(S) -> None:
+    """Each type's nil-extension ideal against the definition; a type that
+    implies simplicity finds the kernel or nothing."""
+    for name, tau in KERNEL_RULE_TYPES.items():
+        assert tau.implies_simple == (name not in FULL_SCAN_TYPES), name
+        K = nil_extension_of_type(S, tau)
+        if tau.implies_simple:
+            assert K in (kernel(S), None), (S, name)
+        assert (K is not None) == nilext_by_definition(S, tau), (S, name)
+
+
 class TestNilExtensionOfType:
     """The first nil-extension ideal of the type, or None; the reasons a
     report gives for None are read through theorems._nilext_witness."""
@@ -146,19 +179,15 @@ class TestNilExtensionOfType:
 
     def test_simplicity_types_find_the_kernel_or_nothing(self, corpus3):
         """With a simplicity component in tau, no ideal above the kernel can
-        pass, since the kernel is a proper ideal of it."""
-        types = {
-            "simple": TAU_SIMPLE,
-            "left-simple": TAU_LEFT_SIMPLE,
-            "t-simple": TAU_T_SIMPLE,
-            "simple & right-pi-inverse": TAU_SIMPLE_RPI,
-            "t-simple & right-pi-inverse": TAU_T_SIMPLE_RPI,
-        }
+        pass, since the kernel is a proper ideal of it; a type without one
+        keeps the scan over every nil-extension ideal."""
         for S in corpus3:
-            for name, tau in types.items():
-                K = nil_extension_of_type(S, tau)
-                assert K in (kernel(S), None), (S, name)
-                assert (K is not None) == nilext_by_definition(S, tau), (S, name)
+            assert_kernel_rule_by_definition(S)
+
+    @pytest.mark.slow
+    def test_simplicity_types_every_7th_order_4(self):
+        for S in islice(enumerate_ordered_semigroups(4), 0, None, 7):
+            assert_kernel_rule_by_definition(S)
 
     def test_sl2_is_a_nil_extension_of_itself(self):
         """SL2 is trivially a nil-extension of itself, which is right inverse,

@@ -2,7 +2,7 @@
 
 The files under tests/golden/ pin the deterministic stdout of
 
-* ``verify --order 3 --all``;
+* ``verify --order 3 --all`` and ``verify --order 4 --all --dedup iso``;
 * ``analyze --json`` and ``analyze`` (text) for each of the five
   fixtures, and ``analyze --rv-vacuous`` (text) for N2;
 * ``search --order 3 --count`` for each of the 14 atoms, one
@@ -43,6 +43,7 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 CASES = [
     "verify-o3-all.txt",
+    "verify-o4-iso-all.txt",
     *(f"analyze-{name}.json" for name in FIXTURES),
     *(f"analyze-{name}.txt" for name in FIXTURES),
     "analyze-N2-rv-vacuous.txt",
@@ -73,6 +74,8 @@ def produce(case: str, workdir: str) -> str:
     """The current program's output for one golden file."""
     if case == "verify-o3-all.txt":
         return _stdout("verify", "--order", "3", "--all")
+    if case == "verify-o4-iso-all.txt":
+        return _stdout("verify", "--order", "4", "--all", "--dedup", "iso")
     if case == "report-bundles-o3.txt":
         stream = itertools.chain.from_iterable(enumerate_ordered_semigroups(n) for n in (1, 2, 3))
         return _bundle_digests(enumerate(stream))

@@ -161,6 +161,21 @@ class TestRestrict:
         with pytest.raises(EmptySubsetError):
             restrict(N2, 0)
 
+    def test_not_closed_exactly_where_the_definition_says(self, corpus3):
+        """NotClosedError on a nonempty subset iff some product of two of its
+        members escapes it; the witness is the first such pair, rows first."""
+        for S in corpus3:
+            table, _ = structure_tables(S)
+            for m in range(1, 1 << S.n):
+                A = sorted(mask_set(m))
+                escapes = [(a, b) for a in A for b in A if table[a][b] not in A]
+                if escapes:
+                    with pytest.raises(NotClosedError) as exc:
+                        restrict(S, m)
+                    assert exc.value.witness == escapes[0], (S, A)
+                else:
+                    assert restrict(S, m).embed == tuple(A), (S, A)
+
     def test_mask_translation(self):
         sub = restrict(SL2, mask_of([1]))
         assert sub.to_ambient(mask_of([0])) == mask_of([1])

@@ -110,13 +110,18 @@ MUTANTS = {
     ),
     "nil-ideals-drop-last": (
         decomposition.nil_extension_ideals,
-        "if is_nil_extension(S, K).ok)",
-        "if is_nil_extension(S, K).ok)[:-1]",
+        "if all(p & K for p in power_masks))",
+        "if all(p & K for p in power_masks))[:-1]",
     ),
     "nil-ext-skips-kernel": (
         decomposition.nil_extension_of_type,
-        "for K in nil_extension_ideals(S):",
-        "for K in nil_extension_ideals(S)[1:]:",
+        "nil = nil_extension_ideals(S)\n",
+        "nil = nil_extension_ideals(S)[1:]\n",
+    ),
+    "kernel-rule-for-every-type": (
+        decomposition.nil_extension_of_type,
+        'if getattr(tau, "implies_simple", False):',
+        "if True:",
     ),
     "pi-rv-vacuous": (
         core.one_sided,
@@ -130,7 +135,7 @@ MUTANTS = {
         "sa = tuple(downset(S, mask_of(row)) for row in table)\n"
         "    as_ = tuple(downset(S, mask_of(col)) for col in zip(*table))",
     ),
-    "sas-without-downset": (core.two_sided, "x, y = downset(S, x), downset(S, y)", "x, y = downset(S, x), y"),
+    "sas-without-downset": (core.two_sided, "y |= right[u]", "y |= mask_of(table[u])"),
     "downset-ignores-order": (core.downset, "out |= S.down[a]", "out |= 1 << a"),
     "powers-one-short": (core.one_sided, "for _ in range(n - 1):", "for _ in range(n - 2):"),
     "power-mask-drops-last": (
@@ -171,9 +176,18 @@ def test_verify_catches(mutant, monkeypatch, fresh_caches):
     assert verify_exit() == 3
 
 
-@pytest.mark.parametrize("mutant", ["one-sided-swapped", "downset-ignores-order", "power-mask-drops-last"])
+@pytest.mark.parametrize(
+    "mutant",
+    ["one-sided-swapped", "downset-ignores-order", "power-mask-drops-last", "kernel-rule-for-every-type"],
+)
 def test_verify_at_order_2_catches(mutant, monkeypatch, fresh_caches):
-    """Faults in what every side reads, caught on the two-element structures."""
+    """Caught on the two-element structures: faults in what every side
+    reads, and the kernel rule for a type that does not imply simplicity
+    (nil-ext-of(right-inverse) then misses SL2, a nil-extension of itself
+    but not of its kernel; the order-4 iso search count falls from 2716
+    to 1476).  Under power-mask-drops-last a one-element class that
+    csl-of restricts to has no nil ideal at all, and the kernel rule must
+    answer None on the empty tuple there, not raise IndexError."""
     mutate(monkeypatch, *MUTANTS[mutant])
     assert verify_exit(2) == 3
 

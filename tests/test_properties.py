@@ -212,6 +212,50 @@ class TestEvaluate:
             evaluate(big, parse_property_expr("csl-of(t-simple)"))
 
 
+class TestSimplicityAnalysis:
+    """Which types only simple structures have, which nil-ext-of reads to
+    test the kernel alone: a simplicity atom or a conjunction with one."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "simple",
+            "left-simple",
+            "t-simple",
+            "simple & right-pi-inverse",
+            "pi-inverse & t-simple",
+            "regular & (left-simple & archimedean)",
+            "left-simple & (simple | regular)",
+            "nil-ext-of(right-inverse) & simple",
+        ],
+    )
+    def test_implies_simplicity(self, text):
+        assert type_of(parse_property_expr(text)).implies_simple
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "right-inverse",
+            "archimedean & regular",
+            "simple | right-inverse",
+            "!simple",
+            "!(simple & regular)",
+            "nil-ext-of(simple)",
+            "csl-of(t-simple)",
+        ],
+    )
+    def test_does_not_imply_simplicity(self, text):
+        assert not type_of(parse_property_expr(text)).implies_simple
+
+    def test_by_definition_on_order_3(self, corpus3):
+        """Every structure of a type the analysis marks is simple."""
+        for text in ("t-simple & pi-inverse", "left-simple & right-pi-inverse", "simple & regular"):
+            tau = type_of(parse_property_expr(text))
+            for S in corpus3:
+                if tau(S):
+                    assert ideals.is_simple(S, "two-sided"), (text, S)
+
+
 class TestMemoizedTypes:
     def test_evaluator_runs_once_per_interned_substructure(self, monkeypatch):
         """Every substructure a type is tested on gets one evaluation, though
