@@ -366,40 +366,51 @@ class OneSided(NamedTuple):
 
 @derived
 def one_sided(S: OrderedSemigroup) -> OneSided:
-    """The one-sided record of S: (Sa] from the table's columns, (aS]
-    from its rows, and a ~ b under L (R) iff L(a) = L(b) (R(a) = R(b))."""
+    """The one-sided record of S, in one pass over the products a*b: each
+    (a*b] joins (aS] and (Sb], and a ~ b under L (R) iff L(a) = L(b)
+    (R(a) = R(b))."""
     n, table, down = S.n, S.table, S.down
-    powers = []
+    powers, power_masks, as_, inverses = [], [], [], []
+    sa = [0] * n
     for a in range(n):
-        x, row = a, [a]
+        x, pw = a, [a]
         for _ in range(n - 1):
             x = table[x][a]
-            row.append(x)
-        powers.append(tuple(row))
-    power_masks = tuple(mask_of(row) for row in powers)
-    sa = tuple(downset(S, mask_of(col)) for col in zip(*table))
-    as_ = tuple(downset(S, mask_of(row)) for row in table)
+            pw.append(x)
+        powers.append(tuple(pw))
+        power_masks.append(mask_of(pw))
+        row = table[a]
+        r = v = 0
+        for b in range(n):
+            ab = row[b]
+            d = down[ab]
+            r |= d
+            sa[b] |= d
+            if down[table[ab][a]] >> a & 1 and down[table[table[b][a]][b]] >> b & 1:
+                v |= 1 << b
+        as_.append(r)
+        inverses.append(v)
+    sa, as_ = tuple(sa), tuple(as_)
     left = tuple(d | m for d, m in zip(down, sa))
     right = tuple(d | m for d, m in zip(down, as_))
     l_rows, r_rows = _rows_from_keys(left), _rows_from_keys(right)
     h_rows = tuple(lr & rr for lr, rr in zip(l_rows, r_rows))
-    inverses = tuple(
-        mask_of(
-            b for b in range(n)
-            if down[table[table[a][b]][a]] >> a & 1 and down[table[table[b][a]][b]] >> b & 1
-        )
-        for a in range(n)
-    )
-    l_agree, r_agree, h_agree = (
-        mask_of(a for a, v in enumerate(inverses) if v and _pairwise_related(rows, v))
-        for rows in (l_rows, r_rows, h_rows)
-    )
-    l_pi = _with_power_in(power_masks, l_agree)
-    r_pi = _with_power_in(power_masks, r_agree)
-    h_pi = _with_power_in(power_masks, h_agree)
+    l_agree = r_agree = 0
+    for a, v in enumerate(inverses):
+        if v:  # V(a) is pairwise related iff it lies in its least member's row
+            first, bit = (v & -v).bit_length() - 1, 1 << a
+            l_agree |= bit if v & ~l_rows[first] == 0 else 0
+            r_agree |= bit if v & ~r_rows[first] == 0 else 0
+    h_agree = l_agree & r_agree  # H = L n R, so V(a) is pairwise H-related iff it is both
+    l_pi = r_pi = h_pi = 0
+    for a, p in enumerate(power_masks):
+        bit = 1 << a
+        l_pi |= bit if p & l_agree else 0
+        r_pi |= bit if p & r_agree else 0
+        h_pi |= bit if p & h_agree else 0
     return OneSided(
-        tuple(powers), power_masks, sa, as_, left, right, l_rows, r_rows, h_rows, inverses,
-        l_agree, r_agree, h_agree, l_pi, r_pi, h_pi,
+        tuple(powers), tuple(power_masks), sa, as_, left, right, l_rows, r_rows, h_rows,
+        tuple(inverses), l_agree, r_agree, h_agree, l_pi, r_pi, h_pi,
     )
 
 

@@ -21,13 +21,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import ideals
-from .core import Mask, OrderedSemigroup, _pairwise_related, derived, downset, full_mask, iter_mask, mask_of, members, two_sided
+from .core import (
+    Mask, OrderedSemigroup, _least_power_in, _pairwise_related, derived, downset, full_mask, iter_mask, mask_of,
+    members, two_sided,
+)
 from .decomposition import (
     MAX_PARTITION_ORDER,
     _check_order,
     all_complete_semilattice_congruences,
     is_complete_semilattice_of,
-    is_nil_extension,
     nil_extension_ideals,
     nil_extension_of_type,
 )
@@ -139,7 +141,7 @@ def _equiv_violation(conditions: dict[str, bool]) -> dict | None:
 def _nilext_witness(S: OrderedSemigroup, tau) -> dict:
     K = nil_extension_of_type(S, tau)
     if K is not None:
-        return {"ideal": members(K), "exponents": list(is_nil_extension(S, K).exponents)}
+        return {"ideal": members(K), "exponents": list(_least_power_in(S, K))}
     kernel_nil = ideals.kernel(S) in nil_extension_ideals(S)
     return {"reason": "type-fails" if kernel_nil else "kernel-not-nil"}
 

@@ -373,6 +373,15 @@ class TestOneSidedRecord:
             if i % 7 == 0:
                 assert_one_sided_matches_oracles(S)
 
+    @pytest.mark.slow
+    def test_matches_oracles_every_100th_order_5_iso_class(self):
+        checked = 0
+        for i, S in enumerate(enumerate_ordered_semigroups(5, dedup="iso")):
+            if i % 100 == 0:
+                assert_one_sided_matches_oracles(S)
+                checked += 1
+        assert checked == 1989
+
 
 class TestTwoSidedRecord:
     def test_matches_oracles(self, corpus3):
