@@ -11,8 +11,6 @@ from .core import (
     mask_of,
     members,
     parse_structure,
-    power,
-    subset_product,
     validate,
 )
 
@@ -29,8 +27,6 @@ __all__ = [
     "mask_of",
     "members",
     "parse_structure",
-    "power",
-    "subset_product",
     "validate",
     "__version__",
 ]

@@ -142,9 +142,6 @@ class OrderedSemigroup:
         self.down = down
         self._cache: dict = {}
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def leq(self, i: int, j: int) -> bool:
         return self.down[j] >> i & 1 == 1
 
@@ -276,28 +273,6 @@ def downset(S: OrderedSemigroup, mask: Mask) -> Mask:
     return out
 
 
-def subset_product(S: OrderedSemigroup, amask: Mask, bmask: Mask) -> Mask:
-    """{a*b : a in A, b in B} as a bitmask."""
-    table = S.table
-    out = 0
-    for a in iter_mask(amask):
-        row = table[a]
-        for b in iter_mask(bmask):
-            out |= 1 << row[b]
-    return out
-
-
-def power(S: OrderedSemigroup, a: int, m: int) -> int:
-    """a^m for m >= 1."""
-    if m < 1:
-        raise ValueError(f"exponent must be >= 1, got {m}")
-    x = a
-    table = S.table
-    for _ in range(m - 1):
-        x = table[x][a]
-    return x
-
-
 def _least_power_in(S: OrderedSemigroup, mask: Mask) -> tuple[int | None, ...]:
     """Per element a, the least m in 1..n with a^m in mask, or None."""
     out: list[int | None] = []
@@ -418,10 +393,9 @@ class TwoSided(NamedTuple):
     """What only two-sided questions read, built in one pass by :func:`two_sided`.
 
     Per element a: (aSa] and (SaS], the principal two-sided ideal
-    I(a) = (a u Sa u aS u SaS] and bi-ideal B(a) = (a u aSa], a's row of
-    Green's J (I(a) = I(b)), and the value of a's first regular power
-    (some power of every element of a finite structure is idempotent,
-    hence regular).  Then the regular elements {a : a in (aSa]}, the
+    I(a) = (a u Sa u aS u SaS], a's row of Green's J (I(a) = I(b)), and
+    the value of a's first regular power (some power of every element of
+    a finite structure is idempotent, hence regular).  Then the regular elements {a : a in (aSa]}, the
     kernel (the least two-sided ideal, the intersection of the principal
     ones, never empty) and the ordered idempotents {e : e <= e*e}.
     """
@@ -429,7 +403,6 @@ class TwoSided(NamedTuple):
     asa: tuple[Mask, ...]
     sas: tuple[Mask, ...]
     ideal: tuple[Mask, ...]
-    bi: tuple[Mask, ...]
     j_rows: tuple[Mask, ...]
     first_regular: tuple[int, ...]
     regular: Mask
@@ -446,7 +419,7 @@ def two_sided(S: OrderedSemigroup) -> TwoSided:
     n, table, down = S.n, S.table, S.down
     one = one_sided(S)
     left, right = one.sa, one.as_
-    asa, sas, ideal, bi = [], [], [], []
+    asa, sas, ideal = [], [], []
     regular = idempotents = 0
     kernel = full_mask(n)
     for a in range(n):
@@ -458,13 +431,12 @@ def two_sided(S: OrderedSemigroup) -> TwoSided:
         asa.append(x)
         sas.append(y)
         ideal.append(down[a] | left[a] | right[a] | y)
-        bi.append(down[a] | x)
         kernel &= ideal[a]
         regular |= x & 1 << a
         idempotents |= down[table[a][a]] & 1 << a
     first_regular = tuple(next(p for p in ps if regular >> p & 1) for ps in one.powers)
     return TwoSided(
-        tuple(asa), tuple(sas), tuple(ideal), tuple(bi), _rows_from_keys(ideal),
+        tuple(asa), tuple(sas), tuple(ideal), _rows_from_keys(ideal),
         first_regular, regular, kernel, idempotents,
     )
 

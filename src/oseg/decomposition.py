@@ -18,13 +18,12 @@ from .core import (
     Mask,
     OrderedSemigroup,
     OrderTooLargeError,
-    _least_power_in,
     derived,
     iter_mask,
     members,
     one_sided,
 )
-from .ideals import all_ideals, is_ideal, kernel, restrict
+from .ideals import all_ideals, kernel, restrict
 
 #: partition scans are capped here; Bell(6) = 203 partitions
 MAX_PARTITION_ORDER = 6
@@ -36,7 +35,7 @@ def _check_order(n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# partitions and the congruence checker
+# partitions
 
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -54,19 +53,6 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec([], 0)
 
 
-def is_csl_congruence(S: OrderedSemigroup, class_of: tuple[int, ...]) -> bool:
-    """Congruence-style checker: a complete semilattice congruence is exactly
-    a compatible partition containing the least one (the correspondence
-    theorem), so a split class of the least one, the cheapest test, goes
-    first.  The partition of S/least's classes it induces must then be
-    among the quotient's compatible partitions."""
-    least = least_complete_semilattice_congruence(S)
-    q = [class_of[least.class_of.index(c)] for c in range(len(least.classes))]
-    if any(class_of[a] != q[c] for a, c in enumerate(least.class_of)):
-        return False
-    return _partition(tuple(q)).class_of in _quotient_partitions(_quotient_table(S))
-
-
 # ---------------------------------------------------------------------------
 # congruence partitions
 
@@ -80,15 +66,6 @@ class CongruencePartition(NamedTuple):
 
     def classes_as_lists(self) -> list[list[int]]:
         return [members(m) for m in self.classes]
-
-    def refines(self, other: "CongruencePartition") -> bool:
-        """True when every class of self sits inside a class of other."""
-        return all(
-            other.class_of[a] == other.class_of[b]
-            for a in range(len(self.class_of))
-            for b in range(len(self.class_of))
-            if self.class_of[a] == self.class_of[b]
-        )
 
 
 def _partition(class_of: tuple[int, ...]) -> CongruencePartition:
@@ -169,19 +146,6 @@ def all_complete_semilattice_congruences(S: OrderedSemigroup) -> list[Congruence
 
 # ---------------------------------------------------------------------------
 # nil-extensions
-
-
-class NilExtension(NamedTuple):
-    ok: bool
-    exponents: tuple[int | None, ...] | None  # least m with a^m in K, per element
-
-
-def is_nil_extension(S: OrderedSemigroup, K: Mask) -> NilExtension:
-    """K is a two-sided ideal and every element has a power inside it."""
-    if K == 0 or not is_ideal(S, K, "two-sided"):
-        return NilExtension(False, None)
-    exps = _least_power_in(S, K)
-    return NilExtension(None not in exps, exps)
 
 
 @derived

@@ -1,4 +1,4 @@
-"""Principal ideals, ideal predicates, simplicity, kernel, restriction."""
+"""Simplicity, kernel, restriction and the two-sided ideals."""
 
 from __future__ import annotations
 
@@ -8,12 +8,10 @@ from .core import (
     Mask,
     OrderedSemigroup,
     derived,
-    downset,
     full_mask,
     iter_mask,
     members,
     one_sided,
-    subset_product,
     two_sided,
 )
 
@@ -33,38 +31,7 @@ _PRINCIPAL = {
     "left": lambda S: one_sided(S).left_ideal,  # L(a) = (a u Sa]
     "right": lambda S: one_sided(S).right_ideal,  # R(a) = (a u aS]
     "two-sided": lambda S: two_sided(S).ideal,  # I(a) = (a u Sa u aS u SaS]
-    "bi": lambda S: two_sided(S).bi,  # B(a) = (a u aSa]
 }
-
-
-def _principal_vector(S: OrderedSemigroup, kind: str) -> tuple[Mask, ...]:
-    """The principal ideal of each element, for the kind."""
-    vector = _PRINCIPAL.get(kind)
-    if vector is None:
-        raise ValueError(f"unknown ideal kind {kind!r}")
-    return vector(S)
-
-
-def principal_ideal(S: OrderedSemigroup, a: int, kind: str) -> Mask:
-    return _principal_vector(S, kind)[a]
-
-
-def is_ideal(S: OrderedSemigroup, mask: Mask, kind: str) -> bool:
-    """Absorption inclusion(s) of the kind plus downward closure.
-
-    A left, right or two-sided ideal is exactly a subset holding the
-    principal ideal of each member.  A bi-ideal must also absorb aSb for
-    distinct members, so it is checked by the product ASA.
-    """
-    if mask == 0:
-        raise EmptySubsetError("ideals are nonempty by definition")
-    if kind != "bi":
-        vec = _principal_vector(S, kind)
-        return all(vec[a] & ~mask == 0 for a in iter_mask(mask))
-    if downset(S, mask) != mask:
-        return False
-    full = full_mask(S.n)
-    return subset_product(S, subset_product(S, mask, full), mask) & ~mask == 0
 
 
 def is_simple(S: OrderedSemigroup, kind: str) -> bool:
@@ -75,10 +42,11 @@ def is_simple(S: OrderedSemigroup, kind: str) -> bool:
     """
     if kind == "t":
         return is_simple(S, "left") and is_simple(S, "right")
-    if kind not in ("left", "right", "two-sided"):
+    vector = _PRINCIPAL.get(kind)
+    if vector is None:
         raise ValueError(f"unknown simplicity kind {kind!r}")
     full = full_mask(S.n)
-    return all(v == full for v in _principal_vector(S, kind))
+    return all(v == full for v in vector(S))
 
 
 def kernel(S: OrderedSemigroup) -> Mask:

@@ -22,9 +22,6 @@ STAR_KINDS = ("L*", "R*", "J*", "H*")
 class EquivalenceRelation:
     rows: tuple[Mask, ...]  # rows[i] = mask of j related to i
 
-    def related(self, i: int, j: int) -> bool:
-        return self.rows[i] >> j & 1 == 1
-
     def classes(self) -> list[list[int]]:
         """Equivalence classes, ordered by least member."""
         seen: Mask = 0
@@ -89,7 +86,6 @@ _ARCHIMEDEAN_TARGETS = {
 }
 
 
-@derived
 def is_archimedean(S: OrderedSemigroup, flavor: str) -> bool:
     """Every pair (a, b) has some m with b^m in the flavor's closed set.
 

@@ -259,7 +259,7 @@ def _eval_cor_76(S: OrderedSemigroup):
 
 def _eval_lem_cao(S: OrderedSemigroup):
     # condition (ii) recomputes the power condition from the raw table;
-    # sharing is_nil_extension's loop would collapse the equivalence check
+    # sharing nil_extension_ideals' power masks would collapse the equivalence check
     pow_masks = _raw_power_masks(S)
     nil_ideals = nil_extension_ideals(S)
     conditions: dict[str, bool] = {}

@@ -413,10 +413,17 @@ def oracle_csl_congruences(table, leq) -> list[tuple]:
     return out
 
 
+def refines(p, q) -> bool:
+    """Partition p refines q: elements in one class of p share a class of q."""
+    cp, cq = p.class_of, q.class_of
+    return all(cq[a] == cq[b] for a in range(len(cp)) for b in range(len(cp)) if cp[a] == cp[b])
+
+
 def family_conditions_hold(S: OrderedSemigroup, class_of: tuple[int, ...]) -> bool:
     """Family-style checker: the four semilattice-of-subsemigroups conditions,
     the second definition of a complete semilattice congruence that the
-    package's congruence-style is_csl_congruence is compared with.
+    package's congruences (all_complete_semilattice_congruences) are
+    compared with.
 
     The classes must multiply into single classes, the induced operation
     on class ids must be a semilattice, and a class meeting the downward

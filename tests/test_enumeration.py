@@ -458,7 +458,7 @@ def test_order_5_iso_stream():
             table_aut = [
                 p
                 for p in permutations(range(5))
-                if all(p[S.mul(x, y)] == S.mul(p[x], p[y]) for x in range(5) for y in range(5))
+                if all(p[S.table[x][y]] == S.table[p[x]][p[y]] for x in range(5) for y in range(5))
             ]
         aut = [
             p

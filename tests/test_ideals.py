@@ -12,48 +12,55 @@ from conftest import (
     oracle_subsets,
     structure_tables,
 )
-from oseg.core import OrderedSemigroup, full_mask, mask_of
+from oseg.core import OrderedSemigroup, full_mask, mask_of, two_sided
 from oseg.ideals import (
+    _PRINCIPAL,
     EmptySubsetError,
     NotClosedError,
     all_ideals,
-    is_ideal,
     is_simple,
     kernel,
-    principal_ideal,
     restrict,
 )
 from oseg.fixtures import LZ2, N2, RZ2, SL2, T1
 
 
+KINDS = ("left", "right", "two-sided")
+
+
+def principal_ideals(S: OrderedSemigroup, kind: str) -> tuple[int, ...]:
+    """Each element's principal ideal of the kind, through the table of
+    kinds that is_simple reads: L(a) and R(a) off the one-sided record,
+    I(a) off the two-sided one."""
+    return _PRINCIPAL[kind](S)
+
+
 class TestPrincipalIdeal:
     def test_lz2(self):
-        assert mask_set(principal_ideal(LZ2, 0, "left")) == {0, 1}
-        assert mask_set(principal_ideal(LZ2, 0, "right")) == {0}
+        assert mask_set(principal_ideals(LZ2, "left")[0]) == {0, 1}
+        assert mask_set(principal_ideals(LZ2, "right")[0]) == {0}
 
     def test_n2_two_sided(self):
-        assert mask_set(principal_ideal(N2, 1, "two-sided")) == {0, 1}
+        assert mask_set(principal_ideals(N2, "two-sided")[1]) == {0, 1}
 
     def test_trivial_all_kinds(self):
-        for kind in ("left", "right", "two-sided", "bi"):
-            assert principal_ideal(T1, 0, kind) == mask_of([0])
+        for kind in KINDS:
+            assert principal_ideals(T1, kind) == (mask_of([0]),)
 
     def test_matches_formula_oracle(self, corpus3):
         for S in corpus3:
             table, leq = structure_tables(S)
-            for a in range(S.n):
-                for kind in ("left", "right", "two-sided", "bi"):
-                    assert mask_set(principal_ideal(S, a, kind)) == oracle_principal_ideal(
-                        table, leq, a, kind
-                    ), (S, a, kind)
+            for kind in KINDS:
+                for a, p in enumerate(principal_ideals(S, kind)):
+                    assert mask_set(p) == oracle_principal_ideal(table, leq, a, kind), (S, a, kind)
 
     def test_least_containing_subset_scan(self, corpus3):
         """The principal ideal is the least kind-ideal containing a."""
         for S in corpus3:
             table, leq = structure_tables(S)
-            for kind in ("left", "right", "two-sided", "bi"):
-                for a in range(S.n):
-                    p = mask_set(principal_ideal(S, a, kind))
+            for kind in KINDS:
+                for a, p in enumerate(principal_ideals(S, kind)):
+                    p = mask_set(p)
                     least = None
                     for A in oracle_subsets(S.n):
                         if a in A and oracle_is_ideal(table, leq, A, kind):
@@ -64,30 +71,32 @@ class TestPrincipalIdeal:
 
 
 class TestIsIdeal:
+    """Two-sided ideals, the ones all_ideals lists, against the oracle."""
+
     def test_sl2_zero(self):
-        assert is_ideal(SL2, mask_of([0]), "two-sided")
+        assert mask_of([0]) in all_ideals(SL2)
 
     def test_lz2_one_sided(self):
-        assert is_ideal(LZ2, mask_of([0]), "right")
-        assert not is_ideal(LZ2, mask_of([0]), "left")
+        # {0} is a right ideal of LZ2 but not a left one, so not two-sided
+        assert all_ideals(LZ2) == [mask_of([0, 1])]
 
     def test_whole_set_every_kind(self, fixture_structure):
+        """The whole set is an ideal, the largest that all_ideals lists."""
         S = fixture_structure
-        for kind in ("left", "right", "two-sided", "bi"):
-            assert is_ideal(S, full_mask(S.n), kind)
+        assert all_ideals(S)[-1] == full_mask(S.n)
 
     def test_empty_raises(self):
+        """Ideals are nonempty by definition."""
+        assert 0 not in all_ideals(SL2)
         with pytest.raises(EmptySubsetError):
-            is_ideal(SL2, 0, "left")
+            restrict(SL2, 0)
 
     def test_matches_oracle(self, corpus3):
         for S in corpus3:
             table, leq = structure_tables(S)
+            ideals = set(all_ideals(S))
             for m in range(1, 1 << S.n):
-                for kind in ("left", "right", "two-sided", "bi"):
-                    assert is_ideal(S, m, kind) == oracle_is_ideal(
-                        table, leq, mask_set(m), kind
-                    )
+                assert (m in ideals) == oracle_is_ideal(table, leq, mask_set(m), "two-sided")
 
 
 class TestIsSimple:
@@ -112,9 +121,7 @@ class TestIsSimple:
     def test_definitional_cross_check(self, corpus3):
         """simple iff every b lies in (SaS u Sa u aS u {a}] for every a."""
         for S in corpus3:
-            expected = all(
-                principal_ideal(S, a, "two-sided") == full_mask(S.n) for a in range(S.n)
-            )
+            expected = all(p == full_mask(S.n) for p in two_sided(S).ideal)
             assert is_simple(S, "two-sided") == expected
 
 
@@ -130,7 +137,7 @@ class TestKernel:
         for S in corpus3:
             k = kernel(S)
             assert k != 0
-            assert is_ideal(S, k, "two-sided")
+            assert k in all_ideals(S)
             table, leq = structure_tables(S)
             for A in oracle_subsets(S.n):
                 if A and oracle_is_ideal(table, leq, A, "two-sided"):
@@ -192,7 +199,7 @@ class TestRestrict:
                 for i, oi in enumerate(sub.embed):
                     for j, oj in enumerate(sub.embed):
                         assert st.leq(i, j) == S.leq(oi, oj)
-                        assert sub.embed[st.mul(i, j)] == S.mul(oi, oj)
+                        assert sub.embed[st.table[i][j]] == S.table[oi][oj]
 
 
 class TestInterning:

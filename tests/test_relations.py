@@ -8,10 +8,12 @@ from conftest import (
     oracle_archimedean,
     oracle_divides,
     oracle_green_related,
+    oracle_power,
     structure_tables,
 )
 from oseg.fixtures import LZ2, N2, RZ2, SL2, T1
-from oseg.ideals import is_ideal, is_simple, principal_ideal
+from oseg.core import two_sided
+from oseg.ideals import is_simple
 from oseg.regularity import regular_elements
 from oseg.relations import green, green_star, is_archimedean
 
@@ -23,7 +25,7 @@ class TestGreen:
         assert green(LZ2, "H").rows == (0b01, 0b10)
 
     def test_n2_j(self):
-        assert not green(N2, "J").related(1, 0)
+        assert not green(N2, "J").rows[1] >> 0 & 1
 
     def test_t1_universal(self):
         for which in ("L", "R", "J", "H"):
@@ -32,14 +34,14 @@ class TestGreen:
     def test_equivalence_axioms(self, corpus3):
         for S in corpus3:
             for which in ("L", "R", "J", "H"):
-                rel = green(S, which)
+                rows = green(S, which).rows
                 for i in range(S.n):
-                    assert rel.related(i, i)
+                    assert rows[i] >> i & 1
                     for j in range(S.n):
-                        assert rel.related(i, j) == rel.related(j, i)
+                        assert rows[i] >> j & 1 == rows[j] >> i & 1
                         for k in range(S.n):
-                            if rel.related(i, j) and rel.related(j, k):
-                                assert rel.related(i, k)
+                            if rows[i] >> j & 1 and rows[j] >> k & 1:
+                                assert rows[i] >> k & 1
 
     def test_h_is_l_meet_r(self, corpus3):
         for S in corpus3:
@@ -51,10 +53,10 @@ class TestGreen:
         for S in corpus2:
             table, leq = structure_tables(S)
             for which in ("L", "R", "J", "H"):
-                rel = green(S, which)
+                rows = green(S, which).rows
                 for a in range(S.n):
                     for b in range(S.n):
-                        assert rel.related(a, b) == oracle_green_related(
+                        assert (rows[a] >> b & 1 == 1) == oracle_green_related(
                             table, leq, a, b, which
                         )
 
@@ -65,7 +67,7 @@ class TestGreen:
 
 class TestGreenStar:
     def test_n2_l_star(self):
-        assert green_star(N2, "L*").related(1, 0)
+        assert green_star(N2, "L*").rows[1] >> 0 & 1
 
     def test_sl2_star_equals_plain(self):
         # every element regular: minimal powers are 1
@@ -85,35 +87,34 @@ class TestGreenStar:
         """a R b implies a R* b when both are regular (minimal powers 1)."""
         for S in corpus3:
             reg = regular_elements(S)
-            plain = green(S, "R")
-            star = green_star(S, "R*")
+            plain = green(S, "R").rows
+            star = green_star(S, "R*").rows
             for a in range(S.n):
                 for b in range(S.n):
-                    if reg >> a & 1 and reg >> b & 1 and plain.related(a, b):
-                        assert star.related(a, b)
+                    if reg >> a & 1 and reg >> b & 1 and plain[a] >> b & 1:
+                        assert star[a] >> b & 1
 
     def test_star_via_minimal_regular_powers_oracle(self, corpus3):
         """Definitional recomputation with explicit minimal exponents."""
-        from oseg.core import power
-
         for S in corpus3:
+            table, _ = structure_tables(S)
             reps = []
             for a in range(S.n):
                 m = 1
-                while not regular_elements(S) >> power(S, a, m) & 1:
+                while not regular_elements(S) >> oracle_power(table, a, m) & 1:
                     m += 1
-                reps.append(power(S, a, m))
+                reps.append(oracle_power(table, a, m))
             for which in ("L", "R", "J"):
-                rel = green_star(S, which + "*")
-                base = green(S, which)
+                rel = green_star(S, which + "*").rows
+                base = green(S, which).rows
                 for a in range(S.n):
                     for b in range(S.n):
-                        assert rel.related(a, b) == base.related(reps[a], reps[b])
+                        assert rel[a] >> b & 1 == base[reps[a]] >> reps[b] & 1
 
 
 def divides(S, a, b) -> bool:
     """a | b read as the package decides it: b in the principal two-sided ideal of a."""
-    return principal_ideal(S, a, "two-sided") >> b & 1 == 1
+    return two_sided(S).ideal[a] >> b & 1 == 1
 
 
 class TestDivides:
@@ -179,14 +180,12 @@ class TestArchimedean:
 @pytest.mark.parametrize(
     "call, name",
     [
-        (lambda S, kind: principal_ideal(S, 0, kind), "x"),
-        (lambda S, kind: is_ideal(S, 0b01, kind), "x"),
         (is_simple, "x"),
         (green, "X"),
         (green_star, "L"),
         (is_archimedean, "diagonal"),
     ],
-    ids=["principal_ideal", "is_ideal", "is_simple", "green", "green_star", "is_archimedean"],
+    ids=["is_simple", "green", "green_star", "is_archimedean"],
 )
 def test_name_tables_reject_unknown_names(call, name):
     """Each lookup of a record field by name raises ValueError for a name
