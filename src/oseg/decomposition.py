@@ -131,17 +131,17 @@ def _quotient_partitions(qtable: tuple[tuple[int, ...], ...]) -> tuple[tuple[int
 
 
 @derived
-def all_complete_semilattice_congruences(S: OrderedSemigroup) -> list[CongruencePartition]:
+def all_complete_semilattice_congruences(S: OrderedSemigroup) -> tuple[CongruencePartition, ...]:
     """Every compatible partition holding the least congruence, in partition
     order: the compatible partitions of S/least pulled back to the elements
     (classes numbered by least member, so pulling back keeps the order);
     order <= 6."""
     _check_order(S.n)
     least = least_complete_semilattice_congruence(S).class_of
-    return [
+    return tuple(
         _partition(tuple(q[c] for c in least))
         for q in _quotient_partitions(_quotient_table(S))
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -121,9 +121,9 @@ def _proper_restriction(S: OrderedSemigroup, mask: Mask) -> Restriction:
 
 
 @derived
-def all_ideals(S: OrderedSemigroup) -> list[Mask]:
+def all_ideals(S: OrderedSemigroup) -> tuple[Mask, ...]:
     """Every two-sided ideal, a nonempty union of principal ones, by (size, mask)."""
     out = {0}
     for v in two_sided(S).ideal:
         out |= {m | v for m in out}
-    return sorted(out - {0}, key=lambda m: (m.bit_count(), m))
+    return tuple(sorted(out - {0}, key=lambda m: (m.bit_count(), m)))

@@ -2,40 +2,39 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     Mask,
     OrderedSemigroup,
     _rows_from_keys,
     derived,
-    full_mask,
     members,
     one_sided,
     two_sided,
 )
 
-STAR_KINDS = ("L*", "R*", "J*", "H*")
+
+def classes(rows: tuple[Mask, ...]) -> list[list[int]]:
+    """The classes of the equivalence relation with these rows, ordered by
+    least member."""
+    seen: Mask = 0
+    out = []
+    for i, row in enumerate(rows):
+        if not seen >> i & 1:
+            out.append(members(row))
+            seen |= row
+    return out
 
 
-@dataclass(frozen=True)
-class EquivalenceRelation:
-    rows: tuple[Mask, ...]  # rows[i] = mask of j related to i
-
-    def classes(self) -> list[list[int]]:
-        """Equivalence classes, ordered by least member."""
-        seen: Mask = 0
-        out = []
-        for i in range(len(self.rows)):
-            if seen >> i & 1:
-                continue
-            out.append(members(self.rows[i]))
-            seen |= self.rows[i]
-        return out
-
-    def is_universal(self) -> bool:
-        full = full_mask(len(self.rows))
-        return all(r == full for r in self.rows)
+@derived
+def _starred(S: OrderedSemigroup) -> tuple[tuple[Mask, ...], ...]:
+    """The rows of L*, R*, J* and H*: a ~ b under L*, R* or J* iff the first
+    regular powers of a and b are related under L, R or J; H* = L* and R*."""
+    one, two = one_sided(S), two_sided(S)
+    lrows, rrows, jrows = (
+        _rows_from_keys([rows[r] for r in two.first_regular])
+        for rows in (one.l_rows, one.r_rows, two.j_rows)
+    )
+    return lrows, rrows, jrows, tuple(lr & rr for lr, rr in zip(lrows, rrows))
 
 
 #: each relation's rows, read off the record that holds them
@@ -44,36 +43,22 @@ _ROWS = {
     "R": lambda S: one_sided(S).r_rows,
     "H": lambda S: one_sided(S).h_rows,
     "J": lambda S: two_sided(S).j_rows,
+    "L*": lambda S: _starred(S)[0],
+    "R*": lambda S: _starred(S)[1],
+    "J*": lambda S: _starred(S)[2],
+    "H*": lambda S: _starred(S)[3],
 }
 
 
-def green(S: OrderedSemigroup, which: str) -> EquivalenceRelation:
-    """a ~ b iff the corresponding principal ideals agree; H = L and R."""
+def green(S: OrderedSemigroup, which: str) -> tuple[Mask, ...]:
+    """The rows of a Green relation (L, R, J, H) or of a starred one (L*, R*,
+    J*, H*): rows[a] is the mask of the b related to a.  a ~ b under L, R or J
+    iff the corresponding principal ideals agree; H = L and R; the starred
+    relations compare the first regular powers of the elements."""
     rows = _ROWS.get(which)
     if rows is None:
         raise ValueError(f"unknown Green relation {which!r}")
-    return EquivalenceRelation(rows(S))
-
-
-@derived
-def _starred(S: OrderedSemigroup) -> dict[str, EquivalenceRelation]:
-    """The starred relations by name: a ~ b under L*, R* or J* iff the first
-    regular powers of a and b are related under L, R or J; H* = L* and R*."""
-    one, two = one_sided(S), two_sided(S)
-    lrows, rrows, jrows = (
-        _rows_from_keys([rows[r] for r in two.first_regular])
-        for rows in (one.l_rows, one.r_rows, two.j_rows)
-    )
-    hrows = tuple(lr & rr for lr, rr in zip(lrows, rrows))
-    return dict(zip(STAR_KINDS, map(EquivalenceRelation, (lrows, rrows, jrows, hrows))))
-
-
-def green_star(S: OrderedSemigroup, which: str) -> EquivalenceRelation:
-    """Starred relation: compare the first regular powers of the elements."""
-    rel = _starred(S).get(which)
-    if rel is None:
-        raise ValueError(f"unknown starred relation {which!r}")
-    return rel
+    return rows(S)
 
 
 #: the closed set of each element that every power must reach, per

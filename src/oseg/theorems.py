@@ -45,7 +45,7 @@ from .regularity import (
     regular_elements,
     rv_set,
 )
-from .relations import green, green_star, is_archimedean
+from .relations import green, is_archimedean
 
 
 class UnknownTheoremError(KeyError):
@@ -91,9 +91,9 @@ class TheoremReport:
 # shared pieces
 
 
-def _implication_on(rel_a, rel_b, mask: Mask) -> bool:
+def _implication_on(rows_a: tuple[Mask, ...], rows_b: tuple[Mask, ...], mask: Mask) -> bool:
     """a ~A b implies a ~B b for all pairs from mask."""
-    return all(rel_a.rows[i] & mask & ~rel_b.rows[i] == 0 for i in iter_mask(mask))
+    return all(rows_a[i] & mask & ~rows_b[i] == 0 for i in iter_mask(mask))
 
 
 @derived
@@ -182,7 +182,7 @@ def _powers_reach_all(pow_masks, targets) -> bool:
 
 def _eval_thm_500(S: OrderedSemigroup):
     rpi = is_right_pi_inverse(S)
-    impl = _implication_on(green_star(S, "L*"), green_star(S, "R*"), ordered_idempotents(S))
+    impl = _implication_on(green(S, "L*"), green(S, "R*"), ordered_idempotents(S))
     conditions = {"i_right_pi_inverse": rpi, "ii_idempotents_lstar_implies_rstar": impl}
     return conditions, None if rpi == impl else {"shape": "equivalence", "conditions": conditions}
 
@@ -236,11 +236,11 @@ def _eval_thm_74(S: OrderedSemigroup):
     conditions = {
         "i_nilext_left_simple_pi_inverse": nil_extension_of_type(S, TAU_LEFT_SIMPLE_PI_INV) is not None,
         "ii_pi_inverse_and_l_archimedean": pinv and is_archimedean(S, "l"),
-        "iii_pi_inverse_and_lstar_universal": pinv and green_star(S, "L*").is_universal(),
-        "iv_pi_inverse_and_idempotents_lstar": pinv and _pairwise_related(green_star(S, "L*").rows, E),
+        "iii_pi_inverse_and_lstar_universal": pinv and _pairwise_related(green(S, "L*"), full_mask(S.n)),
+        "iv_pi_inverse_and_idempotents_lstar": pinv and _pairwise_related(green(S, "L*"), E),
         # the pi-regular conjunct holds on every finite structure
-        "v_pi_regular_and_idempotents_hstar": _pairwise_related(green_star(S, "H*").rows, E),
-        "vi_pi_regular_and_hstar_universal": green_star(S, "H*").is_universal(),
+        "v_pi_regular_and_idempotents_hstar": _pairwise_related(green(S, "H*"), E),
+        "vi_pi_regular_and_hstar_universal": _pairwise_related(green(S, "H*"), full_mask(S.n)),
         "vii_pi_inverse_and_t_archimedean": pinv and is_archimedean(S, "t"),
         "viii_nilext_t_simple_pi_inverse": nil_extension_of_type(S, TAU_T_SIMPLE_PI_INV) is not None,
     }
@@ -252,7 +252,7 @@ def _eval_cor_76(S: OrderedSemigroup):
     E = ordered_idempotents(S)
     conditions = {
         "i_nilext_simple_pi_inverse": nil_extension_of_type(S, TAU_SIMPLE_PI_INV) is not None,
-        "ii_pi_inverse_and_idempotents_jstar": pinv and _pairwise_related(green_star(S, "J*").rows, E),
+        "ii_pi_inverse_and_idempotents_jstar": pinv and _pairwise_related(green(S, "J*"), E),
     }
     return conditions, _equiv_violation(conditions)
 
@@ -316,14 +316,14 @@ def _eval_thm_ne511(S: OrderedSemigroup):
 
 def _eval_lem_ne53(S: OrderedSemigroup):
     rv = rv_set(S)
-    lrel = green(S, "L")
+    lrows = green(S, "L")
     # never false: an idempotent is regular (see regularity.is_pi_regular)
     conditions: dict[str, bool] = {"regular_elements_exist": regular_elements(S) != 0}
     failures = []
     for K in nil_extension_ideals(S):
         key = _ideal_key(K)
         inside = rv & ~K == 0
-        lclasses_ok = all(lrow & ~K == 0 for lrow in lrel.rows if lrow & rv)
+        lclasses_ok = all(lrow & ~K == 0 for lrow in lrows if lrow & rv)
         conditions[key + ".i_rv_inside"] = inside
         conditions[key + ".ii_l_classes_meeting_rv_inside"] = lclasses_ok
         if not (inside and lclasses_ok):
@@ -346,11 +346,11 @@ def _eval_thm_1005(S: OrderedSemigroup):
     conditions = {
         "i_nilext_left_simple_rpi": nil_extension_of_type(S, TAU_LEFT_SIMPLE_RPI) is not None,
         "ii_rpi_and_l_archimedean": rpi and is_archimedean(S, "l"),
-        "iii_rpi_and_lstar_universal": rpi and green_star(S, "L*").is_universal(),
-        "iv_rpi_and_idempotents_lstar": rpi and _pairwise_related(green_star(S, "L*").rows, E),
+        "iii_rpi_and_lstar_universal": rpi and _pairwise_related(green(S, "L*"), full_mask(S.n)),
+        "iv_rpi_and_idempotents_lstar": rpi and _pairwise_related(green(S, "L*"), E),
         # the pi-regular conjunct holds on every finite structure
-        "v_pi_regular_and_idempotents_hstar": _pairwise_related(green_star(S, "H*").rows, E),
-        "vi_pi_regular_and_hstar_universal": green_star(S, "H*").is_universal(),
+        "v_pi_regular_and_idempotents_hstar": _pairwise_related(green(S, "H*"), E),
+        "vi_pi_regular_and_hstar_universal": _pairwise_related(green(S, "H*"), full_mask(S.n)),
         "vii_pi_inverse_and_t_archimedean": pinv and is_archimedean(S, "t"),
         "viii_rpi_and_t_archimedean": rpi and _raw_t_archimedean(S),
         "ix_nilext_t_simple_rpi": nil_extension_of_type(S, TAU_T_SIMPLE_RPI) is not None,
@@ -375,8 +375,8 @@ def _eval_cor_simple(S: OrderedSemigroup):
     E = ordered_idempotents(S)
     conditions = {
         "i_nilext_simple_rpi": nil_extension_of_type(S, TAU_SIMPLE_RPI) is not None,
-        "ii_rpi_and_idempotents_jstar": rpi and _pairwise_related(green_star(S, "J*").rows, E),
-        "iii_rpi_and_jstar_universal": rpi and green_star(S, "J*").is_universal(),
+        "ii_rpi_and_idempotents_jstar": rpi and _pairwise_related(green(S, "J*"), E),
+        "iii_rpi_and_jstar_universal": rpi and _pairwise_related(green(S, "J*"), full_mask(S.n)),
         "iv_rpi_and_powers_reach_sbs": rpi and _raw_archimedean(S),
         "v_rpi_and_archimedean": rpi and is_archimedean(S, "two-sided"),
     }

@@ -3,22 +3,49 @@
 Everything prefixed oracle_ recomputes a fact straight from its
 definition with naive loops over plain Python sets, deliberately
 ignoring the package's representations and shortcuts.  Tests compare
-package results against these.
+package results against these.  The per-element primitives that the
+others are built from are memoised (see ``memoised``), so a sweep that
+runs several checks on one structure computes each of its facts once.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache, wraps
 from itertools import permutations, product
 
 import pytest
 
-from oseg.core import OrderedSemigroup, downset, members
+from oseg.core import OrderedSemigroup
 from oseg.enumeration import enumerate_ordered_semigroups
 from oseg.fixtures import FIXTURES
 
 
 # ---------------------------------------------------------------------------
 # oracle layer: tables and orders as plain lists/sets
+
+#: the facts each memoised primitive keeps, least recently used dropped first
+ORACLE_MEMO_SIZE = 1 << 15
+
+
+def _frozen(x):
+    """A table or an order given as lists, as tuples: hashed by value."""
+    return tuple(map(tuple, x)) if type(x) is list else x
+
+
+def memoised(f):
+    """f(table, ...) memoised on the values of its arguments.  A table or
+    an order, as lists or tuples of tuples, is keyed by its rows' values,
+    never by the object, so two structures share a fact only when their
+    tables and orders are equal.  f must return an immutable value."""
+    cached = lru_cache(maxsize=ORACLE_MEMO_SIZE)(f)
+
+    @wraps(f)
+    def call(table, *args):
+        if type(table) is list or args and type(args[0]) is list:
+            return cached(_frozen(table), *map(_frozen, args))
+        return cached(table, *args)
+
+    return call
 
 
 def oracle_associative(table) -> bool:
@@ -101,14 +128,15 @@ def oracle_power(table, a, m) -> int:
     return x
 
 
-def oracle_power_values(table, a) -> set:
+@memoised
+def oracle_power_values(table, a) -> frozenset:
     """All values of a^m for m >= 1, iterating until the sequence repeats."""
     seen = set()
     x = a
     while x not in seen:
         seen.add(x)
         x = table[x][a]
-    return seen
+    return frozenset(seen)
 
 
 def oracle_divides(table, leq, a, b) -> bool:
@@ -147,7 +175,8 @@ def oracle_subsets(n):
         yield {i for i in range(n) if bits[i]}
 
 
-def oracle_principal_ideal(table, leq, a, kind) -> set:
+@memoised
+def oracle_principal_ideal(table, leq, a, kind) -> frozenset:
     """L(a) = (a u Sa] etc., straight from the displayed formulas."""
     n = len(table)
     full = set(range(n))
@@ -166,7 +195,7 @@ def oracle_principal_ideal(table, leq, a, kind) -> set:
         gens = {a} | oracle_product(table, oracle_product(table, {a}, full), {a})
     else:
         raise ValueError(kind)
-    return oracle_downset(leq, gens)
+    return frozenset(oracle_downset(leq, gens))
 
 
 def oracle_simple(table, leq, kind) -> bool:
@@ -180,12 +209,14 @@ def oracle_simple(table, leq, kind) -> bool:
     )
 
 
+@memoised
 def oracle_regular(table, leq, a) -> bool:
     n = len(table)
     asa = {table[table[a][x]][a] for x in range(n)}
     return a in oracle_downset(leq, asa)
 
 
+@memoised
 def oracle_first_regular_power(table, leq, a) -> int:
     """The value of the first power a^m (m = 1, 2, ...) that is regular."""
     x = a
@@ -208,15 +239,17 @@ def oracle_kernel(table, leq) -> set:
     return out
 
 
-def oracle_inverses(table, leq, a) -> set:
+@memoised
+def oracle_inverses(table, leq, a) -> frozenset:
     n = len(table)
-    return {
+    return frozenset(
         b
         for b in range(n)
         if leq[a][table[table[a][b]][a]] and leq[b][table[table[b][a]][b]]
-    }
+    )
 
 
+@memoised
 def oracle_green_related(table, leq, a, b, which) -> bool:
     if which == "H":
         return oracle_green_related(table, leq, a, b, "L") and oracle_green_related(
@@ -376,6 +409,13 @@ def oracle_nil_extension(table, leq, K) -> bool:
     return all(oracle_power_values(table, a) & K for a in range(len(table)))
 
 
+@memoised
+def oracle_nil_extension_ideals(table, leq) -> tuple[frozenset, ...]:
+    """Every K that the structure is a nil-extension of, by scanning every
+    subset."""
+    return tuple(frozenset(K) for K in oracle_subsets(len(table)) if oracle_nil_extension(table, leq, K))
+
+
 def oracle_partitions(n):
     """Every partition of range(n) as a class-id vector whose ids appear in
     order of first use, lexicographically: the vectors of product(range(n))
@@ -430,8 +470,7 @@ def family_conditions_hold(S: OrderedSemigroup, class_of: tuple[int, ...]) -> bo
     closure of another must lie below it in the induced order
     (beta <= alpha iff beta*alpha = beta).
     """
-    n, table = S.n, S.table
-    cls = class_of
+    n, table, cls = S.n, S.table, class_of
     k = max(cls) + 1
     prod: list[list[int | None]] = [[None] * k for _ in range(k)]
     for a in range(n):
@@ -450,14 +489,15 @@ def family_conditions_hold(S: OrderedSemigroup, class_of: tuple[int, ...]) -> bo
             for l in range(k):
                 if prod[prod[i][j]][l] != prod[i][prod[j][l]]:
                     return False
-    cmask = [0] * k
-    for a in range(n):
-        cmask[cls[a]] |= 1 << a
-    for beta in range(k):
-        for alpha in range(k):
-            if cmask[beta] & downset(S, cmask[alpha]) and prod[beta][alpha] != beta:
-                return False
-    return True
+    _, leq = structure_tables(S)
+    class_sets = [{a for a in range(n) if cls[a] == c} for c in range(k)]
+    below = [oracle_downset(leq, c) for c in class_sets]
+    return all(
+        prod[beta][alpha] == beta
+        for beta in range(k)
+        for alpha in range(k)
+        if class_sets[beta] & below[alpha]
+    )
 
 
 def oracle_relabelings(table, leq) -> list[tuple]:
@@ -493,14 +533,16 @@ def as_structure(table, leq) -> OrderedSemigroup:
 
 
 def structure_tables(S: OrderedSemigroup):
-    """(table, leq) of a package structure, as plain lists for the oracles."""
-    table = [list(row) for row in S.table]
-    leq = [[S.leq(i, j) for j in range(S.n)] for i in range(S.n)]
+    """(table, leq) of a package structure, as tuples of tuples for the
+    oracles: leq[i][j] iff i <= j, read off the down masks bit by bit."""
+    table = tuple(map(tuple, S.table))
+    leq = tuple(tuple(S.down[j] >> i & 1 == 1 for j in range(S.n)) for i in range(S.n))
     return table, leq
 
 
 def mask_set(mask) -> set:
-    return set(members(mask))
+    """The elements of a mask, by plain bit tests."""
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from conftest import (
     oracle_green_related,
     oracle_inverses,
     oracle_kernel,
+    oracle_nil_extension_ideals,
     oracle_ordered_idempotents,
     oracle_pairwise_related,
     oracle_pi_inverse_family,
@@ -49,9 +50,9 @@ from oseg.core import (
     two_sided,
     validate,
 )
-from oseg.enumeration import enumerate_ordered_semigroups, enumerate_tables
+from oseg.enumeration import enumerate_tables
 from oseg.fixtures import FIXTURES, LZ2, N2, SL2, T1
-from oseg.relations import green_star
+from oseg.relations import green
 
 
 DISCRETE2 = [[True, False], [False, True]]
@@ -330,7 +331,7 @@ def assert_record_matches_oracles(S: OrderedSemigroup) -> None:
         for b in rng:
             assert (rec.j_rows[a] >> b & 1 == 1) == oracle_green_related(table, leq, a, b, "J")
             for which in ("L*", "R*", "J*", "H*"):
-                assert (green_star(S, which).rows[a] >> b & 1 == 1) == oracle_star_related(
+                assert (green(S, which)[a] >> b & 1 == 1) == oracle_star_related(
                     table, leq, a, b, which
                 ), (S, a, b, which)
     assert mask_set(rec.regular) == {a for a in rng if oracle_regular(table, leq, a)}, S
@@ -371,32 +372,47 @@ class TestOneSidedRecord:
         for S in corpus3:
             assert_one_sided_matches_oracles(S)
 
-    @pytest.mark.slow
-    def test_matches_oracles_every_7th_order_4(self):
-        for i, S in enumerate(enumerate_ordered_semigroups(4)):
-            if i % 7 == 0:
-                assert_one_sided_matches_oracles(S)
 
-    @pytest.mark.slow
-    def test_matches_oracles_every_100th_order_5_iso_class(self):
-        checked = 0
-        for i, S in enumerate(enumerate_ordered_semigroups(5, dedup="iso")):
-            if i % 100 == 0:
-                assert_one_sided_matches_oracles(S)
-                checked += 1
-        assert checked == 1989
+class TestOracleMemo:
+    """conftest's memoised oracle primitives share a fact between two
+    structures only when their tables and orders are equal."""
+
+    def test_facts_follow_the_table_and_order_values(self, corpus2):
+        """One pair of list objects, rewritten in place to each order-2
+        structure in turn: a memo keyed on the objects, or on the element
+        alone, would hand the first structure's facts to the next."""
+        table = [[0, 0], [0, 0]]
+        leq = [[True, False], [False, True]]
+        seen = set()
+        for S in corpus2:
+            if S.n != 2:
+                continue
+            t, le = structure_tables(S)
+            table[:] = map(list, t)
+            leq[:] = map(list, le)
+            facts = [oracle_nil_extension_ideals(table, leq)]
+            assert facts[0] == oracle_nil_extension_ideals.__wrapped__(table, leq), S
+            for a in range(2):
+                for f, args in (
+                    (oracle_power_values, (table, a)),
+                    (oracle_regular, (table, leq, a)),
+                    (oracle_first_regular_power, (table, leq, a)),
+                    (oracle_inverses, (table, leq, a)),
+                    *((oracle_principal_ideal, (table, leq, a, kind)) for kind in ("left", "right", "two-sided")),
+                    *((oracle_green_related, (table, leq, a, b, w)) for b in range(2) for w in "LRJH"),
+                ):
+                    fact = f(*args)
+                    assert fact == f.__wrapped__(*args), (S, f.__name__, args[-1])
+                    assert isinstance(fact, (bool, int, frozenset)), f.__name__
+                    facts.append(fact)
+            seen.add(tuple(facts))
+        assert len(seen) > 1  # the structures' facts differ, so a shared fact shows
 
 
 class TestTwoSidedRecord:
     def test_matches_oracles(self, corpus3):
         for S in corpus3:
             assert_record_matches_oracles(S)
-
-    @pytest.mark.slow
-    def test_matches_oracles_every_7th_order_4(self):
-        for i, S in enumerate(enumerate_ordered_semigroups(4)):
-            if i % 7 == 0:
-                assert_record_matches_oracles(S)
 
     def test_n2(self):
         rec = two_sided(N2)

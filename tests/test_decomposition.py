@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import islice
-
 import pytest
 
 from conftest import (
@@ -12,6 +10,7 @@ from conftest import (
     oracle_csl_congruences,
     oracle_is_ideal,
     oracle_nil_extension,
+    oracle_nil_extension_ideals,
     oracle_power,
     refines,
     structure_tables,
@@ -29,7 +28,6 @@ from oseg.decomposition import (
     nil_extension_of_type,
     partitions,
 )
-from oseg.enumeration import enumerate_ordered_semigroups
 from oseg.fixtures import LZ2, N2, RZ2, SL2, T1
 from oseg.ideals import all_ideals, kernel, restrict
 from oseg.properties import evaluate, parse_property_expr, type_of
@@ -128,10 +126,8 @@ class TestNilExtension:
 def nilext_by_definition(S, tau) -> bool:
     """Some ideal K of S, by the oracle, with every element having a power
     in K and the restriction to K of type tau."""
-    table, leq = structure_tables(S)
     return any(
-        oracle_nil_extension(table, leq, mask_set(K)) and tau(restrict(S, K).structure)
-        for K in range(1, 1 << S.n)
+        tau(restrict(S, mask_of(K)).structure) for K in oracle_nil_extension_ideals(*structure_tables(S))
     )
 
 
@@ -188,11 +184,6 @@ class TestNilExtensionOfType:
         pass, since the kernel is a proper ideal of it; a type without one
         keeps the scan over every nil-extension ideal."""
         for S in corpus3:
-            assert_kernel_rule_by_definition(S)
-
-    @pytest.mark.slow
-    def test_simplicity_types_every_7th_order_4(self):
-        for S in islice(enumerate_ordered_semigroups(4), 0, None, 7):
             assert_kernel_rule_by_definition(S)
 
     def test_sl2_is_a_nil_extension_of_itself(self):
@@ -253,9 +244,9 @@ class TestLeastCongruence:
                 assert refines(least, p), (S, p.classes_as_lists())
             # the scan starts from the least congruence, so refines holds by
             # construction; the family-style reference scans every partition
-            assert all_complete_semilattice_congruences(S) == [
+            assert all_complete_semilattice_congruences(S) == tuple(
                 _partition(p) for p in partitions(S.n) if family_conditions_hold(S, p)
-            ], S
+            ), S
 
     def test_classes_multiplicatively_closed(self, corpus3):
         for S in corpus3:
@@ -376,30 +367,17 @@ class TestCslOracle:
         for S in corpus3:
             assert_csl_lattice_matches_oracle(S)
 
-    @pytest.mark.slow
-    def test_every_7th_of_order_4(self):
-        count = 0
-        for S in islice(enumerate_ordered_semigroups(4), 0, None, 7):
-            assert_csl_lattice_matches_oracle(S)
-            count += 1
-        assert count == 15384
 
-
-@pytest.mark.slow
-class TestOrderFourInvariants:
-    """The order-4 sweep of the congruence invariants, one pass."""
-
-    def test_least_refines_all_and_classes_closed(self):
-        count = 0
-        for S in enumerate_ordered_semigroups(4):
-            count += 1
-            least = least_complete_semilattice_congruence(S)
-            assert among_csl_congruences(S, least.class_of)
-            for p in all_complete_semilattice_congruences(S):
-                assert refines(least, p)
-                for cmask in p.classes:
-                    restrict(S, cmask)
-            assert all_complete_semilattice_congruences(S) == [
-                _partition(p) for p in partitions(S.n) if family_conditions_hold(S, p)
-            ]
-        assert count == 107688
+def assert_congruence_invariants(S: OrderedSemigroup) -> None:
+    """The least congruence is among the congruences and refines each of
+    them, every class is closed under the product, and the scan lists
+    exactly the partitions the family-style conditions accept."""
+    least = least_complete_semilattice_congruence(S)
+    assert among_csl_congruences(S, least.class_of), S
+    for p in all_complete_semilattice_congruences(S):
+        assert refines(least, p), (S, p.classes_as_lists())
+        for cmask in p.classes:
+            restrict(S, cmask)  # raises NotClosedError if not closed
+    assert all_complete_semilattice_congruences(S) == tuple(
+        _partition(p) for p in partitions(S.n) if family_conditions_hold(S, p)
+    ), S

@@ -147,7 +147,7 @@ class TestRvSets:
     def test_witness_exponents(self, corpus3):
         for S in corpus3:
             wit = pi_rv_witness(S)
-            rrows = green(S, "R").rows
+            rrows = green(S, "R")
             for a, w in enumerate(wit):
                 if w is None:
                     continue

@@ -11,30 +11,37 @@ from conftest import (
     oracle_power,
     structure_tables,
 )
+from oseg.core import _pairwise_related, full_mask, two_sided
 from oseg.fixtures import LZ2, N2, RZ2, SL2, T1
-from oseg.core import two_sided
 from oseg.ideals import is_simple
 from oseg.regularity import regular_elements
-from oseg.relations import green, green_star, is_archimedean
+from oseg.relations import classes, green, is_archimedean
+
+
+ALL_RELATIONS = ("L", "R", "J", "H", "L*", "R*", "J*", "H*")
 
 
 class TestGreen:
     def test_lz2(self):
-        assert green(LZ2, "L").is_universal()
-        assert green(LZ2, "R").rows == (0b01, 0b10)
-        assert green(LZ2, "H").rows == (0b01, 0b10)
+        assert green(LZ2, "L") == (0b11, 0b11)
+        assert green(LZ2, "R") == (0b01, 0b10)
+        assert green(LZ2, "H") == (0b01, 0b10)
 
     def test_n2_j(self):
-        assert not green(N2, "J").rows[1] >> 0 & 1
+        assert not green(N2, "J")[1] >> 0 & 1
 
     def test_t1_universal(self):
         for which in ("L", "R", "J", "H"):
-            assert green(T1, which).is_universal()
+            assert green(T1, which) == (full_mask(1),)
 
     def test_equivalence_axioms(self, corpus3):
+        """Each of the eight names gives the rows of an equivalence, so the
+        relation is universal iff the whole set is pairwise related."""
         for S in corpus3:
-            for which in ("L", "R", "J", "H"):
-                rows = green(S, which).rows
+            for which in ALL_RELATIONS:
+                rows = green(S, which)
+                assert type(rows) is tuple and len(rows) == S.n
+                assert _pairwise_related(rows, full_mask(S.n)) == all(r == full_mask(S.n) for r in rows)
                 for i in range(S.n):
                     assert rows[i] >> i & 1
                     for j in range(S.n):
@@ -45,15 +52,15 @@ class TestGreen:
 
     def test_h_is_l_meet_r(self, corpus3):
         for S in corpus3:
-            lrows = green(S, "L").rows
-            rrows = green(S, "R").rows
-            assert green(S, "H").rows == tuple(a & b for a, b in zip(lrows, rrows))
+            lrows = green(S, "L")
+            rrows = green(S, "R")
+            assert green(S, "H") == tuple(a & b for a, b in zip(lrows, rrows))
 
     def test_matches_oracle(self, corpus2):
         for S in corpus2:
             table, leq = structure_tables(S)
             for which in ("L", "R", "J", "H"):
-                rows = green(S, which).rows
+                rows = green(S, which)
                 for a in range(S.n):
                     for b in range(S.n):
                         assert (rows[a] >> b & 1 == 1) == oracle_green_related(
@@ -61,34 +68,34 @@ class TestGreen:
                         )
 
     def test_classes_ordering(self):
-        assert green(LZ2, "R").classes() == [[0], [1]]
-        assert green(LZ2, "L").classes() == [[0, 1]]
+        assert classes(green(LZ2, "R")) == [[0], [1]]
+        assert classes(green(LZ2, "L")) == [[0, 1]]
 
 
 class TestGreenStar:
     def test_n2_l_star(self):
-        assert green_star(N2, "L*").rows[1] >> 0 & 1
+        assert green(N2, "L*")[1] >> 0 & 1
 
     def test_sl2_star_equals_plain(self):
         # every element regular: minimal powers are 1
         for which in ("L", "R", "J", "H"):
-            assert green_star(SL2, which + "*").rows == green(SL2, which).rows
+            assert green(SL2, which + "*") == green(SL2, which)
 
     def test_lz2_r_star_identity(self):
-        assert green_star(LZ2, "R*").rows == (0b01, 0b10)
+        assert green(LZ2, "R*") == (0b01, 0b10)
 
     def test_h_star_is_meet(self, corpus3):
         for S in corpus3:
-            lrows = green_star(S, "L*").rows
-            rrows = green_star(S, "R*").rows
-            assert green_star(S, "H*").rows == tuple(a & b for a, b in zip(lrows, rrows))
+            lrows = green(S, "L*")
+            rrows = green(S, "R*")
+            assert green(S, "H*") == tuple(a & b for a, b in zip(lrows, rrows))
 
     def test_regular_pairs_reduce_to_plain(self, corpus3):
         """a R b implies a R* b when both are regular (minimal powers 1)."""
         for S in corpus3:
             reg = regular_elements(S)
-            plain = green(S, "R").rows
-            star = green_star(S, "R*").rows
+            plain = green(S, "R")
+            star = green(S, "R*")
             for a in range(S.n):
                 for b in range(S.n):
                     if reg >> a & 1 and reg >> b & 1 and plain[a] >> b & 1:
@@ -105,8 +112,8 @@ class TestGreenStar:
                     m += 1
                 reps.append(oracle_power(table, a, m))
             for which in ("L", "R", "J"):
-                rel = green_star(S, which + "*").rows
-                base = green(S, which).rows
+                rel = green(S, which + "*")
+                base = green(S, which)
                 for a in range(S.n):
                     for b in range(S.n):
                         assert rel[a] >> b & 1 == base[reps[a]] >> reps[b] & 1
@@ -182,10 +189,9 @@ class TestArchimedean:
     [
         (is_simple, "x"),
         (green, "X"),
-        (green_star, "L"),
         (is_archimedean, "diagonal"),
     ],
-    ids=["is_simple", "green", "green_star", "is_archimedean"],
+    ids=["is_simple", "green", "is_archimedean"],
 )
 def test_name_tables_reject_unknown_names(call, name):
     """Each lookup of a record field by name raises ValueError for a name
