@@ -372,6 +372,12 @@ class TestOneSidedRecord:
         for S in corpus3:
             assert_one_sided_matches_oracles(S)
 
+    @pytest.mark.slow
+    def test_matches_oracles_every_7th_order_4(self):
+        from test_oracle_sweep import assert_order_4_holds  # imports this module
+
+        assert_order_4_holds(assert_one_sided_matches_oracles)
+
 
 class TestOracleMemo:
     """conftest's memoised oracle primitives share a fact between two
@@ -413,6 +419,12 @@ class TestTwoSidedRecord:
     def test_matches_oracles(self, corpus3):
         for S in corpus3:
             assert_record_matches_oracles(S)
+
+    @pytest.mark.slow
+    def test_matches_oracles_every_7th_order_4(self):
+        from test_oracle_sweep import assert_order_4_holds  # imports this module
+
+        assert_order_4_holds(assert_record_matches_oracles)
 
     def test_n2(self):
         rec = two_sided(N2)

@@ -186,6 +186,12 @@ class TestNilExtensionOfType:
         for S in corpus3:
             assert_kernel_rule_by_definition(S)
 
+    @pytest.mark.slow
+    def test_simplicity_types_every_7th_order_4(self):
+        from test_oracle_sweep import assert_order_4_holds  # imports this module
+
+        assert_order_4_holds(assert_kernel_rule_by_definition)
+
     def test_sl2_is_a_nil_extension_of_itself(self):
         """SL2 is trivially a nil-extension of itself, which is right inverse,
         though its kernel is not a nil-extension ideal: a type without a
@@ -367,6 +373,12 @@ class TestCslOracle:
         for S in corpus3:
             assert_csl_lattice_matches_oracle(S)
 
+    @pytest.mark.slow
+    def test_every_7th_of_order_4(self):
+        from test_oracle_sweep import assert_order_4_holds  # imports this module
+
+        assert_order_4_holds(assert_csl_lattice_matches_oracle)
+
 
 def assert_congruence_invariants(S: OrderedSemigroup) -> None:
     """The least congruence is among the congruences and refines each of
@@ -381,3 +393,13 @@ def assert_congruence_invariants(S: OrderedSemigroup) -> None:
     assert all_complete_semilattice_congruences(S) == tuple(
         _partition(p) for p in partitions(S.n) if family_conditions_hold(S, p)
     ), S
+
+
+@pytest.mark.slow
+class TestOrderFourInvariants:
+    """The congruence invariants on every raw order-4 structure."""
+
+    def test_least_refines_all_and_classes_closed(self):
+        from test_oracle_sweep import assert_order_4_holds  # imports this module
+
+        assert_order_4_holds(assert_congruence_invariants)
