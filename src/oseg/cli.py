@@ -22,19 +22,17 @@ from itertools import islice
 from . import theorems
 from .core import (
     InvalidStructureError,
+    OrderTooLargeError,
     StructureFormatError,
     canonical_json,
+    full_mask,
     load_structure,
     members,
+    one_sided,
     to_json_dict,
 )
 from .decomposition import least_complete_semilattice_congruence
-from .enumeration import (
-    DEDUP_MODES,
-    EnumerationCursor,
-    OrderTooLargeError,
-    enumerate_ordered_semigroups,
-)
+from .enumeration import DEDUP_MODES, EnumerationCursor, enumerate_ordered_semigroups
 from .ideals import kernel
 from .properties import (
     ATOMS,
@@ -131,6 +129,7 @@ def _cmd_validate(args, out) -> int:
 
 
 def analyze_report(S, rv_vacuous: bool = False) -> dict:
+    """analyze's fields, in the order its text form prints them."""
     atoms = {name: ATOMS[name](S) for name in ATOMS}
     report = {
         "structure": to_json_dict(S),
@@ -144,10 +143,18 @@ def analyze_report(S, rv_vacuous: bool = False) -> dict:
         "pi_rv_set": members(pi_rv_set(S)),
         "pi_intra_set": members(pi_intra_set(S)),
     }
-    if rv_vacuous:
-        report["rv_set_vacuous"] = members(rv_set(S, include_irregular=True))
-        report["pi_rv_set_vacuous"] = members(pi_rv_set(S, include_irregular=True))
+    if rv_vacuous:  # the reading that also admits the irregular elements, V(a) empty
+        rv = rv_set(S) | full_mask(S.n) & ~regular_elements(S)
+        report["rv_set_vacuous"] = members(rv)
+        report["pi_rv_set_vacuous"] = [a for a, powers in enumerate(one_sided(S).power_masks) if powers & rv]
     return report
+
+
+def _label(key: str) -> str:
+    """A report key as the text form prints it: rv_set_vacuous as
+    "rv set (vacuous reading)"."""
+    stem = key.removesuffix("_vacuous")
+    return stem.replace("_", " ") + (" (vacuous reading)" if stem != key else "")
 
 
 def _cmd_analyze(args, out) -> int:
@@ -164,18 +171,11 @@ def _cmd_analyze(args, out) -> int:
     print(f"structure: {canonical_json(S)}", file=out)
     for name, value in report["atoms"].items():
         print(f"{name}: {'yes' if value else 'no'}", file=out)
-    for which in ("L", "R", "J", "H"):
-        print(f"green {which}: {report['green'][which]}", file=out)
-    print(f"kernel: {report['kernel']}", file=out)
-    print(f"least congruence: {report['least_congruence']}", file=out)
-    print(f"regular elements: {report['regular_elements']}", file=out)
-    print(f"ordered idempotents: {report['ordered_idempotents']}", file=out)
-    print(f"rv set: {report['rv_set']}", file=out)
-    print(f"pi rv set: {report['pi_rv_set']}", file=out)
-    print(f"pi intra set: {report['pi_intra_set']}", file=out)
-    if args.rv_vacuous:
-        print(f"rv set (vacuous reading): {report['rv_set_vacuous']}", file=out)
-        print(f"pi rv set (vacuous reading): {report['pi_rv_set_vacuous']}", file=out)
+    for which, green_classes in report["green"].items():
+        print(f"green {which}: {green_classes}", file=out)
+    for key, value in report.items():
+        if key not in ("structure", "atoms", "green"):
+            print(f"{_label(key)}: {value}", file=out)
     return 0
 
 
@@ -255,9 +255,9 @@ def _cmd_enumerate(args, out) -> int:
 # verify
 
 
-# Structures per pool task.  verify --order 5 --all --dedup iso takes 53 s
-# at --jobs 1 and 31 s at --jobs 2 on a 2-core x86-64 box (198838 classes,
-# about 0.26 ms each), so a chunk is about 17 ms of checks: long enough to
+# Structures per pool task.  verify --order 5 --all --dedup iso takes 59 s
+# at --jobs 1 and 35 s at --jobs 2 on a 2-core x86-64 box (198838 classes,
+# about 0.30 ms each), so a chunk is about 19 ms of checks: long enough to
 # keep the per-task pickling and queue cost small, short enough that the
 # workers finish within a chunk of each other.
 CHUNK = 64

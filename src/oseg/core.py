@@ -286,11 +286,6 @@ def _least_power_in(S: OrderedSemigroup, mask: Mask) -> tuple[int | None, ...]:
     return tuple(out)
 
 
-def _with_power_in(power_masks: Sequence[Mask], mask: Mask) -> Mask:
-    """The elements a with some power in mask, power_masks[a] holding a's powers."""
-    return mask_of(a for a, powers in enumerate(power_masks) if powers & mask)
-
-
 def _pairwise_related(rows: tuple[Mask, ...], subset: Mask) -> bool:
     """All pairs inside subset related (rows is an equivalence relation)."""
     if subset == 0:

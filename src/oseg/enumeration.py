@@ -235,14 +235,14 @@ def enumerate_compatible_orders(table: Sequence[Sequence[int]]) -> Iterator[tupl
 
 
 @cache
-def _renamings(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], list[int]]]:
+def _renamings(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
     """(q, p, cells) per renaming, the identity first: q[a] is the old name of
     a, p is q's inverse, and relabeled flat cell k is p[flat[cells[k]]]."""
     out = []
     for q in permutations(range(n)):
         p = tuple(sorted(range(n), key=q.__getitem__))
-        out.append((q, p, [x * n + y for x in q for y in q]))
-    return out
+        out.append((q, p, tuple(x * n + y for x in q for y in q)))
+    return tuple(out)
 
 
 def _renamed_down(down: Sequence[Mask], q: Sequence[int], p: tuple[int, ...]) -> tuple[Mask, ...]:

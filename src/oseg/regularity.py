@@ -6,15 +6,15 @@ Membership conventions (these matter and are easy to get backwards):
   It is nonempty exactly when a is regular.
 * rv_set collects the elements whose inverses are pairwise R-related and
   requires V(a) to be nonempty; the vacuous reading that also admits
-  irregular elements, those with V(a) empty, is available via
-  include_irregular=True.
+  irregular elements, those with V(a) empty, is computed only where it is
+  reported (cli.analyze_report).
 * pi_rv_set asks for some power a^m (m in 1..n) in rv_set, matching the
   usage in the theorems this package checks.
 """
 
 from __future__ import annotations
 
-from .core import Mask, OrderedSemigroup, _least_power_in, _with_power_in, full_mask, one_sided, two_sided
+from .core import Mask, OrderedSemigroup, _least_power_in, full_mask, one_sided, two_sided
 
 
 def regular_elements(S: OrderedSemigroup) -> Mask:
@@ -46,18 +46,13 @@ def pi_intra_set(S: OrderedSemigroup) -> Mask:
     return full_mask(S.n)
 
 
-def rv_set(S: OrderedSemigroup, include_irregular: bool = False) -> Mask:
+def rv_set(S: OrderedSemigroup) -> Mask:
     """Elements whose ordered inverses are pairwise R-related."""
-    rv = one_sided(S).r_agree
-    if include_irregular:
-        return rv | full_mask(S.n) & ~regular_elements(S)
-    return rv
+    return one_sided(S).r_agree
 
 
-def pi_rv_set(S: OrderedSemigroup, include_irregular: bool = False) -> Mask:
+def pi_rv_set(S: OrderedSemigroup) -> Mask:
     """Elements with some power whose inverses are pairwise R-related."""
-    if include_irregular:
-        return _with_power_in(one_sided(S).power_masks, rv_set(S, True))
     return one_sided(S).r_pi
 
 

@@ -15,14 +15,8 @@ from .core import (
 
 def classes(rows: tuple[Mask, ...]) -> list[list[int]]:
     """The classes of the equivalence relation with these rows, ordered by
-    least member."""
-    seen: Mask = 0
-    out = []
-    for i, row in enumerate(rows):
-        if not seen >> i & 1:
-            out.append(members(row))
-            seen |= row
-    return out
+    least member: its distinct rows, first seen at their least member."""
+    return [members(row) for row in dict.fromkeys(rows)]
 
 
 @derived

@@ -23,7 +23,7 @@ from typing import Callable
 from . import ideals
 from .core import (
     Mask, OrderedSemigroup, _least_power_in, _pairwise_related, derived, downset, full_mask, iter_mask, mask_of,
-    members, two_sided,
+    members, to_json_dict, two_sided,
 )
 from .decomposition import (
     MAX_PARTITION_ORDER,
@@ -97,7 +97,7 @@ def _implication_on(rows_a: tuple[Mask, ...], rows_b: tuple[Mask, ...], mask: Ma
 
 
 @derived
-def _raw_power_masks(S: OrderedSemigroup) -> list[Mask]:
+def _raw_power_masks(S: OrderedSemigroup) -> tuple[Mask, ...]:
     """Per element, the mask of a^1..a^n, straight from the table.
 
     For conditions that restate a cached one independently; sharing the
@@ -110,7 +110,7 @@ def _raw_power_masks(S: OrderedSemigroup) -> list[Mask]:
         for _ in range(S.n):
             pow_masks[a] |= 1 << x
             x = S.table[x][a]
-    return pow_masks
+    return tuple(pow_masks)
 
 
 def _type(text: str) -> Callable[[OrderedSemigroup], bool]:
@@ -552,15 +552,6 @@ def check(S: OrderedSemigroup, theorem_id: str) -> TheoremReport:
     return TheoremReport(theorem_id, conditions, verdict, violation, entry.adapted, S)
 
 
-def check_all(S: OrderedSemigroup) -> list[TheoremReport]:
-    """Every catalog theorem whose precondition S meets, in catalog order."""
-    out = []
-    for theorem_id in _CATALOG:
-        if precondition_unmet(S, theorem_id) is None:
-            out.append(check(S, theorem_id))
-    return out
-
-
 def report_bundle(S: OrderedSemigroup) -> dict:
     """One JSON-ready object per structure: theorem id -> conditions/verdict.
 
@@ -568,8 +559,6 @@ def report_bundle(S: OrderedSemigroup) -> dict:
     Key ordering is the catalog order; serialize with sort_keys for a
     byte-stable encoding.
     """
-    from .core import to_json_dict
-
     reports: dict[str, dict] = {}
     for theorem_id in _CATALOG:
         reason = precondition_unmet(S, theorem_id)

@@ -11,9 +11,18 @@ import time
 
 import pytest
 
+from conftest import (
+    oracle_green_related,
+    oracle_kernel,
+    oracle_pi_rv_set_vacuous,
+    oracle_regular,
+    oracle_rv_set,
+    oracle_rv_set_vacuous,
+    structure_tables,
+)
 from oseg import cli
 from oseg.cli import main
-from oseg.core import canonical_json, parse_structure
+from oseg.core import canonical_json, parse_structure, validate
 from oseg.fixtures import LZ2, N2, RZ2
 
 
@@ -120,6 +129,37 @@ class TestAnalyze:
         path.write_text("{}")
         code, _ = run(capsys, "analyze", str(path))
         assert code == 2
+
+    def test_order_7_matches_oracles(self, capsys, tmp_path):
+        """Above the enumeration cap: a zero 0, a left-zero band {1, 2, 3}
+        with 1 <= 2, and nilpotents {4, 5, 6} with 4*4 = 5 <= 4, the two
+        parts multiplying to 0 and 0 below everything."""
+        n = 7
+
+        def mul(a, b):
+            if a in (1, 2, 3) and b in (1, 2, 3):
+                return a
+            return 5 if a == b == 4 else 0
+
+        below = {(0, x) for x in range(n)} | {(x, x) for x in range(n)} | {(1, 2), (5, 4)}
+        S = validate(n, [[mul(a, b) for b in range(n)] for a in range(n)],
+                     [[(i, j) in below for j in range(n)] for i in range(n)])
+        path = tmp_path / "o7.json"
+        path.write_text(canonical_json(S) + "\n", encoding="utf-8")
+        code, out = run(capsys, "analyze", str(path), "--json", "--rv-vacuous")
+        assert code == 0
+        report = json.loads(out)
+        table, leq = structure_tables(S)
+        for which in ("L", "R", "J", "H"):
+            rows = {tuple(b for b in range(n) if oracle_green_related(table, leq, a, b, which))
+                    for a in range(n)}
+            assert report["green"][which] == sorted(map(list, rows)), which
+        assert report["kernel"] == sorted(oracle_kernel(table, leq))
+        assert report["regular_elements"] == [a for a in range(n) if oracle_regular(table, leq, a)]
+        assert report["rv_set"] == sorted(oracle_rv_set(table, leq))
+        assert report["rv_set_vacuous"] == sorted(oracle_rv_set_vacuous(table, leq))
+        assert report["pi_rv_set_vacuous"] == sorted(oracle_pi_rv_set_vacuous(table, leq))
+        assert report["rv_set"] != report["rv_set_vacuous"]
 
 
 def _cursor(order=3, dedup="raw", prefix=None, emitted=1) -> dict:

@@ -43,6 +43,7 @@ from oseg.core import (
     downset,
     from_json_dict,
     full_mask,
+    iter_mask,
     mask_of,
     one_sided,
     parse_structure,
@@ -144,6 +145,12 @@ class TestValidate:
                     accepted = False
                 assert accepted == ok, (table, leq)
         assert accepted_by_oracle == 20
+
+
+def test_iter_mask_lists_set_bits_least_first():
+    """Below 64 from the members table, from 64 up by the bit walk."""
+    for m in range(1 << 8):
+        assert list(iter_mask(m)) == [i for i in range(8) if m >> i & 1]
 
 
 class TestDownset:

@@ -5,6 +5,10 @@ The files under tests/golden/ pin the deterministic stdout of
 * ``verify --order 3 --all`` and ``verify --order 4 --all --dedup iso``;
 * ``analyze --json`` and ``analyze`` (text) for each of the five
   fixtures, and ``analyze --rv-vacuous`` (text) for N2;
+* ``analyze``, ``analyze --rv-vacuous`` and ``analyze --json
+  --rv-vacuous`` of every structure of order <= 3 (the raw streams of
+  orders 1, 2 and 3 in turn): one ``<index> <digest>`` line per
+  structure, the digest over the three outputs' concatenated stdout;
 * ``search --order 3 --count`` for each of the 14 atoms, one
   ``<atom> <stdout>`` line per atom;
 * ``theorems.report_bundle`` of every structure of order <= 3 (the raw
@@ -47,19 +51,24 @@ CASES = [
     *(f"analyze-{name}.json" for name in FIXTURES),
     *(f"analyze-{name}.txt" for name in FIXTURES),
     "analyze-N2-rv-vacuous.txt",
+    "analyze-o3.txt",
     "search-o3-count.txt",
     "report-bundles-o3.txt",
     pytest.param("report-bundles-o4-every10.txt", marks=pytest.mark.slow),
 ]
 
 
+def _digests(texts) -> str:
+    """One ``<index> <digest>`` line per (index, text)."""
+    return "".join(f"{i} {hashlib.sha256(text.encode()).hexdigest()[:16]}\n" for i, text in texts)
+
+
 def _bundle_digests(structures) -> str:
-    return "".join(
-        f"{i} "
-        + hashlib.sha256(json.dumps(report_bundle(S), sort_keys=True).encode()).hexdigest()[:16]
-        + "\n"
-        for i, S in structures
-    )
+    return _digests((i, json.dumps(report_bundle(S), sort_keys=True)) for i, S in structures)
+
+
+def _orders_1_to_3():
+    return enumerate(itertools.chain.from_iterable(enumerate_ordered_semigroups(n) for n in (1, 2, 3)))
 
 
 def _stdout(*argv: str) -> str:
@@ -77,8 +86,19 @@ def produce(case: str, workdir: str) -> str:
     if case == "verify-o4-iso-all.txt":
         return _stdout("verify", "--order", "4", "--all", "--dedup", "iso")
     if case == "report-bundles-o3.txt":
-        stream = itertools.chain.from_iterable(enumerate_ordered_semigroups(n) for n in (1, 2, 3))
-        return _bundle_digests(enumerate(stream))
+        return _bundle_digests(_orders_1_to_3())
+    if case == "analyze-o3.txt":
+        path = os.path.join(workdir, "structure.json")
+
+        def analyzed(S) -> str:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(canonical_json(S) + "\n")
+            return "".join(
+                _stdout("analyze", path, *options)
+                for options in ((), ("--rv-vacuous",), ("--json", "--rv-vacuous"))
+            )
+
+        return _digests((i, analyzed(S)) for i, S in _orders_1_to_3())
     if case == "report-bundles-o4-every10.txt":
         return _bundle_digests(itertools.islice(enumerate(enumerate_ordered_semigroups(4)), 0, None, 10))
     if case == "search-o3-count.txt":

@@ -19,6 +19,7 @@ from conftest import (
     oracle_rv_set_vacuous,
     structure_tables,
 )
+from oseg.cli import analyze_report
 from oseg.core import OrderedSemigroup, full_mask, one_sided
 from oseg.enumeration import enumerate_tables
 from oseg.fixtures import LZ2, N2, RZ2, SL2, T1
@@ -159,18 +160,16 @@ class TestRvSets:
 
     def test_vacuous_reading_flag(self):
         # under the vacuous reading, irregular elements slip in
-        assert mask_set(rv_set(N2, include_irregular=True)) == {0, 1}
-        assert mask_set(rv_set(N2)) == {0}
+        report = analyze_report(N2, rv_vacuous=True)
+        assert report["rv_set_vacuous"] == [0, 1]
+        assert report["rv_set"] == [0]
 
     def test_vacuous_reading_matches_oracle(self, corpus3):
         for S in corpus3:
             table, leq = structure_tables(S)
-            assert mask_set(rv_set(S, include_irregular=True)) == oracle_rv_set_vacuous(
-                table, leq
-            )
-            assert mask_set(pi_rv_set(S, include_irregular=True)) == oracle_pi_rv_set_vacuous(
-                table, leq
-            )
+            report = analyze_report(S, rv_vacuous=True)
+            assert report["rv_set_vacuous"] == sorted(oracle_rv_set_vacuous(table, leq))
+            assert report["pi_rv_set_vacuous"] == sorted(oracle_pi_rv_set_vacuous(table, leq))
 
 
 class TestInverseFamilies:

@@ -18,7 +18,6 @@ from oseg.regularity import rv_set
 from oseg.theorems import (
     UnknownTheoremError,
     check,
-    check_all,
     precondition_unmet,
     report_bundle,
     theorem_ids,
@@ -108,7 +107,7 @@ class TestFixtureFacts:
         assert rep.consistent and all(rep.conditions.values())
 
     def test_t1_everything_positive(self):
-        for rep in check_all(T1):
+        for rep in [check(T1, t) for t in theorem_ids()]:
             assert rep.consistent
             assert all(rep.conditions.values()), rep.theorem_id
 
@@ -125,13 +124,13 @@ class TestFixtureFacts:
 
     def test_fixture_reports_all_consistent(self):
         for name, S in FIXTURES.items():
-            for rep in check_all(S):
+            for rep in [check(S, t) for t in theorem_ids()]:
                 assert rep.consistent, (name, rep.theorem_id, rep.conditions)
 
-    def test_check_all_order_and_determinism(self):
-        reports = check_all(N2)
+    def test_catalog_order_and_determinism(self):
+        reports = [check(N2, t) for t in theorem_ids()]
         assert [r.theorem_id for r in reports] == CATALOG
-        again = check_all(N2)
+        again = [check(N2, t) for t in theorem_ids()]
         assert [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports] == [
             json.dumps(r.to_json_dict(), sort_keys=True) for r in again
         ]
@@ -189,6 +188,36 @@ def test_report_bundles_do_not_depend_on_what_was_interned_first():
     ]
     assert outs[0].count(b"\n") == 1 + 20 + 971
     assert outs[0] == outs[1]
+
+
+def _mutable(values: dict) -> list:
+    """The keys whose values cannot be hashed, so hold a mutable part."""
+    out = []
+    for key, value in values.items():
+        try:
+            hash(value)
+        except TypeError:
+            out.append(key)
+    return out
+
+
+def test_memoised_values_are_immutable(corpus3):
+    """Memoised values are shared by every later reader, so each must be
+    immutable: hashable all the way down, in each structure's cache after
+    the whole catalog and analyze, in each interned substructure's cache,
+    and in the process-wide renamings."""
+    from oseg.cli import analyze_report
+    from oseg.enumeration import _renamings
+    from oseg.ideals import _INTERNED
+
+    for S in corpus3:
+        for tid in theorem_ids():
+            check(S, tid)
+        analyze_report(S, rv_vacuous=True)
+        assert _mutable(S._cache) == [], S
+    for sub in _INTERNED.values():
+        assert _mutable(sub._cache) == [], sub
+    assert _mutable({n: _renamings(n) for n in range(1, 5)}) == []
 
 
 def brandt_b2() -> OrderedSemigroup:
@@ -286,14 +315,18 @@ class TestWitnessesOnDemand:
 
         from oseg import cli, theorems
 
-        expected = [[(r.consistent, r.conditions) for r in check_all(S)] for S in corpus3]
+        def verdicts():
+            reports = (check(S, t) for S in corpus3 for t in theorem_ids())
+            return [(r.consistent, r.conditions) for r in reports]
+
+        expected = verdicts()
 
         def explain(S):
             raise AssertionError("a witness was built")
 
         for tid, entry in theorems._CATALOG.items():
             monkeypatch.setitem(theorems._CATALOG, tid, dataclasses.replace(entry, explain=explain))
-        assert [[(r.consistent, r.conditions) for r in check_all(S)] for S in corpus3] == expected
+        assert verdicts() == expected
         buf = io.StringIO()
         with redirect_stdout(buf):
             assert cli.main(["verify", "--order", "3", "--all"]) == 0
@@ -314,7 +347,7 @@ class TestExhaustiveConsistency:
         A counterexample is a build failure; print it in wire format.
         """
         for S in corpus3:
-            for rep in check_all(S):
+            for rep in [check(S, t) for t in theorem_ids()]:
                 assert rep.consistent, (
                     rep.theorem_id,
                     canonical_json(S),
@@ -338,7 +371,7 @@ class TestExhaustiveConsistency:
         signatures, index = goldens.catalog_signatures(golden)
         count = 0
         for S in enumerate_ordered_semigroups(4):
-            reports = check_all(S)
+            reports = [check(S, t) for t in theorem_ids()]
             for rep in reports:
                 assert rep.consistent, (rep.theorem_id, canonical_json(S))
             assert oracle.catalog_signature(reports) == signatures[index[count]], canonical_json(S)
