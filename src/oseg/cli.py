@@ -255,11 +255,11 @@ def _cmd_enumerate(args, out) -> int:
 # verify
 
 
-# Structures per pool task.  verify --order 5 --all --dedup iso takes 59 s
-# at --jobs 1 and 35 s at --jobs 2 on a 2-core x86-64 box (198838 classes,
-# about 0.30 ms each), so a chunk is about 19 ms of checks: long enough to
-# keep the per-task pickling and queue cost small, short enough that the
-# workers finish within a chunk of each other.
+# Structures per pool task.  verify --order 5 --all --dedup iso takes 59-62 s
+# at --jobs 1 and 38-39 s at --jobs 2 on a shared 2-core x86-64 box with
+# Python 3.11.7 (198838 classes, about 0.30 ms each), so a chunk is about
+# 19 ms of checks: long enough to keep the per-task pickling and queue cost
+# small, short enough that the workers finish within a chunk of each other.
 CHUNK = 64
 
 

@@ -2,10 +2,13 @@
 
 Tables are generated cell by cell in row-major order with incremental
 associativity pruning; every completed triple is checked the moment its
-last table entry appears.  Under dedup "iso" a prefix is also pruned once
-some renaming of the elements makes it lexicographically smaller
-(lex-leader pruning), so only tables that are their own least relabeling
-are built.  Compatible partial orders then extend the discrete order pair
+last table entry appears.  A value index lists, per value v, the assigned
+cells holding v, so when the new cell (a, b) is the outer lookup (xy, z)
+or (x, yz) of a triple, the cells with xy = a or yz = b are read from the
+index rather than found by scanning the table.  Under dedup "iso" a
+prefix is also pruned once some renaming of the elements makes it
+lexicographically smaller (lex-leader pruning), so only tables that are
+their own least relabeling are built.  Compatible partial orders then extend the discrete order pair
 by pair on one explicit stack, closing each added pair under
 transitivity and compatibility; each order is emitted exactly once.
 
@@ -32,26 +35,41 @@ MAX_ENUM_ORDER = 5
 DEDUP_MODES = ("raw", "iso")
 
 
-def _check_order(n: int) -> None:
+def _check_args(n: int, dedup: str) -> None:
+    """ValueError unless 1 <= n and dedup is one of DEDUP_MODES;
+    OrderTooLargeError for n above MAX_ENUM_ORDER."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if n > MAX_ENUM_ORDER:
         raise OrderTooLargeError("enumeration", MAX_ENUM_ORDER, n)
+    if dedup not in DEDUP_MODES:
+        raise ValueError(f"dedup must be one of {DEDUP_MODES}, got {dedup!r}")
 
 
 # ---------------------------------------------------------------------------
 # associative tables
 
 
-def _assoc_ok(t: list[list[int]], n: int, a: int, b: int) -> bool:
+def _assoc_ok(
+    t: list[list[int]], n: int, a: int, b: int, cells: list[list[tuple[int, int]]]
+) -> bool:
     """Associativity of every triple completed by assigning cell (a, b).
 
     A triple (x, y, z) needs the four lookups (x,y), (y,z), (xy,z), and
     (x,yz); it is checked here iff (a, b) is one of them and the other
-    three are already assigned.  Unassigned cells hold -1.
+    three are already assigned.  Unassigned cells hold -1, and cells[v]
+    lists the assigned cells holding v, (a, b) among them.
     """
     v = t[a][b]
     row_a, row_b, row_v = t[a], t[b], t[v]
+    # (y, z) = (a, b), first as the role that fails most often:
+    # compare t[t[x][a]][b] with t[x][v]
+    for tx in t:
+        p = tx[a]
+        if p >= 0:
+            left, right = t[p][b], tx[v]
+            if left >= 0 and right >= 0 and left != right:
+                return False
     # (x, y) = (a, b): compare t[v][z] with t[a][t[b][z]]
     for z in range(n):
         q = row_b[z]
@@ -59,33 +77,20 @@ def _assoc_ok(t: list[list[int]], n: int, a: int, b: int) -> bool:
             left, right = row_v[z], row_a[q]
             if left >= 0 and right >= 0 and left != right:
                 return False
-    # (y, z) = (a, b): compare t[t[x][a]][b] with t[x][v]
-    for x in range(n):
-        p = t[x][a]
-        if p >= 0:
-            left, right = t[p][b], t[x][v]
-            if left >= 0 and right >= 0 and left != right:
+    # (xy, z) = (a, b): x·y = a, z = b; the left side is v
+    for x, y in cells[a]:
+        q = t[y][b]
+        if q >= 0:
+            right = t[x][q]
+            if right >= 0 and right != v:
                 return False
-    # (xy, z) = (a, b): t[x][y] = a, z = b; the left side is v
-    for x in range(n):
-        tx = t[x]
-        for y in range(n):
-            if tx[y] == a:
-                q = t[y][b]
-                if q >= 0:
-                    right = tx[q]
-                    if right >= 0 and right != v:
-                        return False
-    # (x, yz) = (a, b): t[y][z] = b, x = a; the right side is v
-    for y in range(n):
-        ty = t[y]
-        for z in range(n):
-            if ty[z] == b:
-                p2 = row_a[y]
-                if p2 >= 0:
-                    left = t[p2][z]
-                    if left >= 0 and left != v:
-                        return False
+    # (x, yz) = (a, b): y·z = b, x = a; the right side is v
+    for y, z in cells[b]:
+        p = row_a[y]
+        if p >= 0:
+            left = t[p][z]
+            if left >= 0 and left != v:
+                return False
     return True
 
 
@@ -107,9 +112,11 @@ def enumerate_tables(
     (lex-leader pruning): one decided larger is dropped, one decided
     smaller prunes the subtree, as every completion has a smaller relabeling.
     """
-    _check_order(n)
+    _check_args(n, dedup)
     t = [[-1] * n for _ in range(n)]
     flat = [-1] * (n * n)
+    # the value index: cells[v] lists the assigned cells (x, y) with x·y = v
+    cells: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     renamings = [(0, p, c) for _, p, c in _renamings(n)[1:]] if dedup == "iso" else []
 
     if first_row is not None:
@@ -133,20 +140,22 @@ def enumerate_tables(
             yield tuple(tuple(row) for row in t)
             return
         a, b = divmod(pos, n)
-        lo = 0
-        if tight and resume_table is not None:
-            lo = resume_table[pos]
+        row = t[a]
+        lo = resume_table[pos] if tight else 0
         if a == 0 and first_row is not None:
             values = [first_row[b]] if first_row[b] >= lo else []
         else:
             values = range(lo, n)
         for v in values:
-            t[a][b] = flat[pos] = v
-            if _assoc_ok(t, n, a, b):
+            row[b] = flat[pos] = v
+            holding = cells[v]
+            holding.append((a, b))
+            if _assoc_ok(t, n, a, b, cells):
                 rest = undecided(pos, live) if live else live
                 if rest is not None:
                     yield from rec(pos + 1, tight and v == lo, rest)
-            t[a][b] = flat[pos] = -1
+            holding.pop()
+        row[b] = flat[pos] = -1
 
     yield from rec(0, resume_table is not None, renamings)
 
@@ -317,9 +326,7 @@ class EnumerationCursor:
             raise ValueError(f"missing key {e.args[0]!r}") from None
         if type(order) is not int:
             raise ValueError(f"order must be an integer, got {order!r}")
-        _check_order(order)
-        if dedup not in DEDUP_MODES:
-            raise ValueError(f"dedup must be one of {DEDUP_MODES}, got {dedup!r}")
+        _check_args(order, dedup)
         if type(emitted) is not int or emitted < 0:
             raise ValueError(f"emitted must be an integer >= 0, got {emitted!r}")
         out_bytes = obj.get("out-bytes")
@@ -358,9 +365,7 @@ class StructureStream:
         cursor: EnumerationCursor | None = None,
         first_row: Sequence[int] | None = None,
     ):
-        _check_order(n)
-        if dedup not in DEDUP_MODES:
-            raise ValueError(f"dedup must be one of {DEDUP_MODES}")
+        _check_args(n, dedup)
         if cursor is None:
             cursor = EnumerationCursor(n, dedup, None, 0, 0)
         elif cursor.order != n or cursor.dedup != dedup:

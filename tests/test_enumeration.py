@@ -23,6 +23,7 @@ from conftest import (
 )
 from oseg.core import OrderedSemigroup, axiom_violations, canonical_json
 from oseg.enumeration import (
+    DEDUP_MODES,
     EnumerationCursor,
     OrderTooLargeError,
     canonical_form,
@@ -107,16 +108,25 @@ class TestTables:
         ]
         assert list(enumerate_tables(n, dedup="iso")) == least
 
-    def test_iso_first_row_and_resume_table(self):
-        """Pruning keeps its meaning under a pinned first row and a resume
-        table: each gives the least tables the unpinned stream has there."""
-        least = list(enumerate_tables(4, dedup="iso"))
+    @pytest.mark.parametrize("dedup", DEDUP_MODES)
+    def test_first_row_and_resume_table(self, dedup):
+        """The value index and, under iso, pruning keep their meaning under a
+        pinned first row and a resume table: each gives the tables the
+        unpinned stream has there."""
+        tables = list(enumerate_tables(4, dedup=dedup))
         for row in product(range(4), repeat=4):
-            pinned = [t for t in least if t[0] == row]
-            assert list(enumerate_tables(4, first_row=row, dedup="iso")) == pinned
-        for k in (1, 57, 187):
-            flat = [v for row in least[k] for v in row]
-            assert list(enumerate_tables(4, resume_table=flat, dedup="iso")) == least[k:]
+            pinned = [t for t in tables if t[0] == row]
+            assert list(enumerate_tables(4, first_row=row, dedup=dedup)) == pinned
+        for k in {"raw": (1, 1000, 3491), "iso": (1, 57, 187)}[dedup]:
+            flat = [v for row in tables[k] for v in row]
+            assert list(enumerate_tables(4, resume_table=flat, dedup=dedup)) == tables[k:]
+
+    def test_unknown_dedup(self):
+        """enumerate_tables refuses a dedup mode with the stream's error,
+        not by yielding the raw tables."""
+        for make in (partial(enumerate_tables, 3), partial(enumerate_ordered_semigroups, 3)):
+            with pytest.raises(ValueError, match=r"dedup must be one of \('raw', 'iso'\), got 'antiiso'"):
+                list(make(dedup="antiiso"))
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_order_below_one_is_not_the_cap(self, n):

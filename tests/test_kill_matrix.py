@@ -138,6 +138,7 @@ MUTANTS = {
         "power_masks.append(mask_of(pw[:-1]))",
     ),
     "assoc-skips-ab-role": (enumeration._assoc_ok, "q = row_b[z]", "q = -1"),
+    "assoc-skips-x-yz-role": (enumeration._assoc_ok, "for y, z in cells[b]:", "for y, z in ():"),
     "orders-without-right-compatibility": (
         enumeration.enumerate_compatible_orders,
         "+ [(y, image) for y, image in zip(table[c], cols)]",
@@ -159,7 +160,7 @@ def test_detectors_are_clean_without_a_mutant(fresh_caches):
     "mutant",
     [
         "sas-all-zero", "nil-ideals-drop-last", "nil-ext-skips-kernel", "sas-without-downset", "assoc-skips-ab-role",
-        "downset-ignores-order",
+        "assoc-skips-x-yz-role", "downset-ignores-order",
     ],
 )
 def test_verify_catches(mutant, monkeypatch, fresh_caches):
@@ -167,8 +168,10 @@ def test_verify_catches(mutant, monkeypatch, fresh_caches):
     which rebuilds (SbS], and lem-cao (ii), which rebuilds the powers; a
     nil-extension side that skips the kernel disagrees with the sides
     decided without one, such as thm-74 (ii).  sas-without-downset and
-    assoc-skips-ab-role pass verify at order 2 (exit 0); tables that skip
-    an associativity role are not semigroups, on which the sides part.
+    both assoc-skips mutants pass verify at order 2 (exit 0); tables that
+    skip an associativity role are not semigroups, on which the sides
+    part (without the (x, yz) role of the value index, order 3 has 132
+    tables, not 113).
     downset-ignores-order must end in exit 3 here too, not in an error:
     a counterexample's nil-extension witness reads its exponents without
     re-checking that its ideal is one, which the broken downset can deny."""
