@@ -11,7 +11,8 @@ Grammar (and binds tighter than or)::
 The atom keywords are a closed set; each one delegates to exactly one
 operation of the property modules.  Runs of '&' and '|' parse to n-ary
 nodes, and printing parenthesizes nested same-operator children, so
-parse(print(e)) == e for every tree.
+parse(print(e)) == e for every tree.  predicate(e) compiles a tree once
+into a plain function S -> bool, which evaluate(S, e) calls.
 """
 
 from __future__ import annotations
@@ -221,28 +222,54 @@ def to_text(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: each tree compiled once into a plain function
+
+
+def _every(parts: tuple[Callable, ...]) -> Callable[[OrderedSemigroup], bool]:
+    def holds(S: OrderedSemigroup) -> bool:
+        for part in parts:
+            if not part(S):
+                return False
+        return True
+    return holds
+
+
+def _some(parts: tuple[Callable, ...]) -> Callable[[OrderedSemigroup], bool]:
+    def holds(S: OrderedSemigroup) -> bool:
+        for part in parts:
+            if part(S):
+                return True
+        return False
+    return holds
+
+
+@cache
+def predicate(e: Expr) -> Callable[[OrderedSemigroup], bool]:
+    """The tree as one plain function S -> bool, built once: an atom is its
+    ATOMS function, '&' and '|' are one loop over their parts (so a wide
+    junction never recurses), and nil-ext-of and csl-of bind the type of
+    their argument.  Above order 6, nil-ext-of raises OrderTooLargeError,
+    and csl-of does unless the least congruence decides it."""
+    if isinstance(e, Atom):
+        return ATOMS[e.name]
+    if isinstance(e, Not):
+        arg = predicate(e.arg)
+        return lambda S: not arg(S)
+    if isinstance(e, And):
+        return _every(tuple(predicate(a) for a in e.args))
+    if isinstance(e, Or):
+        return _some(tuple(predicate(a) for a in e.args))
+    if isinstance(e, NilExtOf):
+        tau = type_of(e.arg)
+        return lambda S: nil_extension_of_type(S, tau) is not None
+    if isinstance(e, CslOf):
+        tau = type_of(e.arg)
+        return lambda S: is_complete_semilattice_of(S, tau).holds
+    raise TypeError(f"not a property expression: {e!r}")
 
 
 def evaluate(S: OrderedSemigroup, e: Expr) -> bool:
-    """Standard boolean semantics; atoms call their module operations.
-
-    Above order 6, nil-ext-of atoms raise OrderTooLargeError, and csl-of
-    atoms do unless the least congruence decides them.
-    """
-    if isinstance(e, Atom):
-        return ATOMS[e.name](S)
-    if isinstance(e, Not):
-        return not evaluate(S, e.arg)
-    if isinstance(e, And):
-        return all(evaluate(S, a) for a in e.args)
-    if isinstance(e, Or):
-        return any(evaluate(S, a) for a in e.args)
-    if isinstance(e, NilExtOf):
-        return nil_extension_of_type(S, type_of(e.arg)) is not None
-    if isinstance(e, CslOf):
-        return is_complete_semilattice_of(S, type_of(e.arg)).holds
-    raise TypeError(f"not a property expression: {e!r}")
+    return predicate(e)(S)
 
 
 #: the atoms that hold only on simple structures (left and t-simplicity imply simplicity)
@@ -262,10 +289,9 @@ def _implies_simplicity(e: Expr) -> bool:
 
 @cache
 def type_of(e: Expr) -> Callable[[OrderedSemigroup], bool]:
-    """The expression as a type, the predicate S -> evaluate(S, e) that
-    nil-ext-of and csl-of test their parts with; one function per tree,
-    its verdict on S kept in S's derived cache, and its implies_simple
-    attribute set by _implies_simplicity(e)."""
-    tau = derived(lambda S: evaluate(S, e))
+    """The expression as a type, predicate(e) with its verdict on S kept in
+    S's derived cache, which nil-ext-of and csl-of test their parts with;
+    its implies_simple attribute is set by _implies_simplicity(e)."""
+    tau = derived(predicate(e))
     tau.implies_simple = _implies_simplicity(e)
     return tau

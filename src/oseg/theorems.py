@@ -9,10 +9,10 @@ COUNTEREXAMPLE means the structure falsifies the claim as encoded here.
 Deciding is split from explaining: an entry's witnesses (ideal members,
 exponents, rv sets, partitions) are built only when a report is read.
 
-Condition evaluators call the public operations of the other modules,
-so a counterexample localizes a defect; the few conditions whose entire
-point is to restate another condition independently recompute their
-side from the raw table instead of sharing the cached path.
+An all-equivalent entry is a table of rows read line by line against the
+paper: a condition key and parts that must all hold, each search --where
+text, compiled once, or a named function where the atoms cannot say it:
+the starred relations, and raw restatements of a cached condition.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from .decomposition import (
     nil_extension_ideals,
     nil_extension_of_type,
 )
-from .properties import parse_property_expr, type_of
+from .properties import CslOf, NilExtOf, _every, parse_property_expr, predicate, type_of
 from .regularity import (
-    is_pi_inverse,
     is_right_inverse,
     is_right_pi_inverse,
     ordered_idempotents,
@@ -45,7 +44,7 @@ from .regularity import (
     regular_elements,
     rv_set,
 )
-from .relations import green, is_archimedean
+from .relations import green
 
 
 class UnknownTheoremError(KeyError):
@@ -91,11 +90,6 @@ class TheoremReport:
 # shared pieces
 
 
-def _implication_on(rows_a: tuple[Mask, ...], rows_b: tuple[Mask, ...], mask: Mask) -> bool:
-    """a ~A b implies a ~B b for all pairs from mask."""
-    return all(rows_a[i] & mask & ~rows_b[i] == 0 for i in iter_mask(mask))
-
-
 @derived
 def _raw_power_masks(S: OrderedSemigroup) -> tuple[Mask, ...]:
     """Per element, the mask of a^1..a^n, straight from the table.
@@ -111,21 +105,6 @@ def _raw_power_masks(S: OrderedSemigroup) -> tuple[Mask, ...]:
             pow_masks[a] |= 1 << x
             x = S.table[x][a]
     return tuple(pow_masks)
-
-
-def _type(text: str) -> Callable[[OrderedSemigroup], bool]:
-    """The type a search --where expression names, e.g. "simple & pi-inverse"."""
-    return type_of(parse_property_expr(text))
-
-
-TAU_LEFT_SIMPLE_RPI = _type("left-simple & right-pi-inverse")
-TAU_T_SIMPLE_RPI = _type("t-simple & right-pi-inverse")
-TAU_SIMPLE_RPI = _type("simple & right-pi-inverse")
-TAU_LEFT_SIMPLE_PI_INV = _type("left-simple & pi-inverse")
-TAU_T_SIMPLE_PI_INV = _type("t-simple & pi-inverse")
-TAU_SIMPLE_PI_INV = _type("simple & pi-inverse")
-TAU_T_SIMPLE = _type("t-simple")
-TAU_RIGHT_INVERSE = _type("right-inverse")
 
 
 def _equiv_violation(conditions: dict[str, bool]) -> dict | None:
@@ -146,18 +125,6 @@ def _nilext_witness(S: OrderedSemigroup, tau) -> dict:
     return {"reason": "type-fails" if kernel_nil else "kernel-not-nil"}
 
 
-def _nilext_explainer(**taus) -> Callable:
-    """The explain of an entry whose witnesses are the outcomes of its
-    nil-extension conditions, keyed by condition, and the ordered idempotents."""
-
-    def explain(S: OrderedSemigroup) -> dict:
-        witnesses: dict[str, object] = {key: _nilext_witness(S, tau) for key, tau in taus.items()}
-        witnesses["ordered_idempotents"] = members(ordered_idempotents(S))
-        return witnesses
-
-    return explain
-
-
 def _ideal_key(K: Mask) -> str:
     return "ideal[" + ",".join(str(e) for e in members(K)) + "]"
 
@@ -170,28 +137,36 @@ def _rv_witness(S: OrderedSemigroup) -> dict:
     return {"rv_set": members(rv_set(S))}
 
 
+def _idempotents_witness(S: OrderedSemigroup) -> dict:
+    return {"ordered_idempotents": members(ordered_idempotents(S))}
+
+
 def _powers_reach_all(pow_masks, targets) -> bool:
     """Some power of every element in each target, target by target."""
     return all(all(p & target for p in pow_masks) for target in targets)
 
 
 # ---------------------------------------------------------------------------
-# catalog evaluators: evaluate(S) gives (conditions, violation) and
-# explain(S) the witnesses
+# conditions the atoms cannot state: the starred relations, and raw
+# restatements of an atom that must not share its cached path
 
 
-def _eval_thm_500(S: OrderedSemigroup):
-    rpi = is_right_pi_inverse(S)
-    impl = _implication_on(green(S, "L*"), green(S, "R*"), ordered_idempotents(S))
-    conditions = {"i_right_pi_inverse": rpi, "ii_idempotents_lstar_implies_rstar": impl}
-    return conditions, None if rpi == impl else {"shape": "equivalence", "conditions": conditions}
+def _universal(which: str) -> Callable[[OrderedSemigroup], bool]:
+    """Green's `which` relates every pair of elements."""
+    return lambda S: _pairwise_related(green(S, which), full_mask(S.n))
 
 
-def _explain_thm_500(S: OrderedSemigroup) -> dict:
-    witnesses: dict[str, object] = {"ordered_idempotents": members(ordered_idempotents(S))}
-    if is_right_pi_inverse(S):
-        witnesses["right_pi_inverse_exponents"] = list(pi_rv_witness(S))
-    return witnesses
+def _on_idempotents(which: str) -> Callable[[OrderedSemigroup], bool]:
+    """Green's `which` relates every pair of ordered idempotents."""
+    return lambda S: _pairwise_related(green(S, which), ordered_idempotents(S))
+
+
+def _implies_on_idempotents(a: str, b: str) -> Callable[[OrderedSemigroup], bool]:
+    """On the ordered idempotents, a-related implies b-related."""
+    def holds(S: OrderedSemigroup) -> bool:
+        E, rows_a, rows_b = ordered_idempotents(S), green(S, a), green(S, b)
+        return all(rows_a[i] & E & ~rows_b[i] == 0 for i in iter_mask(E))
+    return holds
 
 
 def _raw_right_pi_inverse(S: OrderedSemigroup) -> bool:
@@ -218,43 +193,36 @@ def _raw_right_pi_inverse(S: OrderedSemigroup) -> bool:
     return all(powers & agree for powers in _raw_power_masks(S))
 
 
-def _eval_thm_15(S: OrderedSemigroup):
-    conditions = {
-        "i_right_pi_inverse": is_right_pi_inverse(S),
-        "ii_some_power_has_r_related_inverses": _raw_right_pi_inverse(S),
-    }
-    return conditions, _equiv_violation(conditions)
+def _raw_t_archimedean(S: OrderedSemigroup) -> bool:
+    """t-Archimedean rebuilt from the table, independent of the closed
+    products is_archimedean reads: (aSa] is the downset of the row set aSa."""
+    table = S.table
+    asa = (downset(S, mask_of(table[x][a] for x in table[a])) for a in range(S.n))
+    return _powers_reach_all(_raw_power_masks(S), asa)
 
 
-def _explain_thm_15(S: OrderedSemigroup) -> dict:
-    return {"exponents": list(pi_rv_witness(S))}
+def _raw_archimedean(S: OrderedSemigroup) -> bool:
+    """Archimedean spelled out by definition, independent of the closed
+    products is_archimedean reads: (SbS] is the downset of the union over
+    s of the row set (sb)S."""
+    row_masks = [mask_of(row) for row in S.table]
+    sbs = [0] * S.n
+    for row in S.table:  # row s holds sb for every b
+        for b, sb in enumerate(row):
+            sbs[b] |= row_masks[sb]
+    return _powers_reach_all(_raw_power_masks(S), (downset(S, m) for m in sbs))
 
 
-def _eval_thm_74(S: OrderedSemigroup):
-    pinv = is_pi_inverse(S)
-    E = ordered_idempotents(S)
-    conditions = {
-        "i_nilext_left_simple_pi_inverse": nil_extension_of_type(S, TAU_LEFT_SIMPLE_PI_INV) is not None,
-        "ii_pi_inverse_and_l_archimedean": pinv and is_archimedean(S, "l"),
-        "iii_pi_inverse_and_lstar_universal": pinv and _pairwise_related(green(S, "L*"), full_mask(S.n)),
-        "iv_pi_inverse_and_idempotents_lstar": pinv and _pairwise_related(green(S, "L*"), E),
-        # the pi-regular conjunct holds on every finite structure
-        "v_pi_regular_and_idempotents_hstar": _pairwise_related(green(S, "H*"), E),
-        "vi_pi_regular_and_hstar_universal": _pairwise_related(green(S, "H*"), full_mask(S.n)),
-        "vii_pi_inverse_and_t_archimedean": pinv and is_archimedean(S, "t"),
-        "viii_nilext_t_simple_pi_inverse": nil_extension_of_type(S, TAU_T_SIMPLE_PI_INV) is not None,
-    }
-    return conditions, _equiv_violation(conditions)
+# ---------------------------------------------------------------------------
+# catalog evaluators: evaluate(S) gives (conditions, violation) and
+# explain(S) the witnesses
 
 
-def _eval_cor_76(S: OrderedSemigroup):
-    pinv = is_pi_inverse(S)
-    E = ordered_idempotents(S)
-    conditions = {
-        "i_nilext_simple_pi_inverse": nil_extension_of_type(S, TAU_SIMPLE_PI_INV) is not None,
-        "ii_pi_inverse_and_idempotents_jstar": pinv and _pairwise_related(green(S, "J*"), E),
-    }
-    return conditions, _equiv_violation(conditions)
+def _explain_thm_500(S: OrderedSemigroup) -> dict:
+    witnesses: dict[str, object] = _idempotents_witness(S)
+    if is_right_pi_inverse(S):
+        witnesses["right_pi_inverse_exponents"] = list(pi_rv_witness(S))
+    return witnesses
 
 
 def _eval_lem_cao(S: OrderedSemigroup):
@@ -331,60 +299,11 @@ def _eval_lem_ne53(S: OrderedSemigroup):
     return conditions, None if not failures else {"shape": "per-nil-ideal", "ideals": failures}
 
 
-def _raw_t_archimedean(S: OrderedSemigroup) -> bool:
-    """t-Archimedean rebuilt from the table, independent of the closed
-    products is_archimedean reads: (aSa] is the downset of the row set aSa."""
-    table = S.table
-    asa = (downset(S, mask_of(table[x][a] for x in table[a])) for a in range(S.n))
-    return _powers_reach_all(_raw_power_masks(S), asa)
-
-
-def _eval_thm_1005(S: OrderedSemigroup):
-    rpi = is_right_pi_inverse(S)
-    pinv = is_pi_inverse(S)
-    E = ordered_idempotents(S)
-    conditions = {
-        "i_nilext_left_simple_rpi": nil_extension_of_type(S, TAU_LEFT_SIMPLE_RPI) is not None,
-        "ii_rpi_and_l_archimedean": rpi and is_archimedean(S, "l"),
-        "iii_rpi_and_lstar_universal": rpi and _pairwise_related(green(S, "L*"), full_mask(S.n)),
-        "iv_rpi_and_idempotents_lstar": rpi and _pairwise_related(green(S, "L*"), E),
-        # the pi-regular conjunct holds on every finite structure
-        "v_pi_regular_and_idempotents_hstar": _pairwise_related(green(S, "H*"), E),
-        "vi_pi_regular_and_hstar_universal": _pairwise_related(green(S, "H*"), full_mask(S.n)),
-        "vii_pi_inverse_and_t_archimedean": pinv and is_archimedean(S, "t"),
-        "viii_rpi_and_t_archimedean": rpi and _raw_t_archimedean(S),
-        "ix_nilext_t_simple_rpi": nil_extension_of_type(S, TAU_T_SIMPLE_RPI) is not None,
-    }
-    return conditions, _equiv_violation(conditions)
-
-
-def _raw_archimedean(S: OrderedSemigroup) -> bool:
-    """Archimedean spelled out by definition, independent of the closed
-    products is_archimedean reads: (SbS] is the downset of the union over
-    s of the row set (sb)S."""
-    row_masks = [mask_of(row) for row in S.table]
-    sbs = [0] * S.n
-    for row in S.table:  # row s holds sb for every b
-        for b, sb in enumerate(row):
-            sbs[b] |= row_masks[sb]
-    return _powers_reach_all(_raw_power_masks(S), (downset(S, m) for m in sbs))
-
-
-def _eval_cor_simple(S: OrderedSemigroup):
-    rpi = is_right_pi_inverse(S)
-    E = ordered_idempotents(S)
-    conditions = {
-        "i_nilext_simple_rpi": nil_extension_of_type(S, TAU_SIMPLE_RPI) is not None,
-        "ii_rpi_and_idempotents_jstar": rpi and _pairwise_related(green(S, "J*"), E),
-        "iii_rpi_and_jstar_universal": rpi and _pairwise_related(green(S, "J*"), full_mask(S.n)),
-        "iv_rpi_and_powers_reach_sbs": rpi and _raw_archimedean(S),
-        "v_rpi_and_archimedean": rpi and is_archimedean(S, "two-sided"),
-    }
-    return conditions, _equiv_violation(conditions)
+_RIGHT_INVERSE = type_of(parse_property_expr("right-inverse"))
 
 
 def _eval_cor_rinv_nilext(S: OrderedSemigroup):
-    lhs = nil_extension_of_type(S, TAU_RIGHT_INVERSE) is not None
+    lhs = nil_extension_of_type(S, _RIGHT_INVERSE) is not None
     rv = rv_set(S)
     table, down = S.table, S.down
     outside = full_mask(S.n) & ~rv
@@ -402,71 +321,19 @@ def _eval_cor_rinv_nilext(S: OrderedSemigroup):
         "iv_below_stays_rv": all(down[b] & outside == 0 for b in iter_mask(rv)),
     }
     rhs = all(v for k, v in conditions.items() if k != "nilext_right_inverse")
-    violation = (
-        None
-        if lhs == rhs
-        else {"shape": "lhs-iff-conjunction", "conditions": dict(conditions)}
-    )
-    return conditions, violation
+    return conditions, None if lhs == rhs else {"shape": "lhs-iff-conjunction", "conditions": dict(conditions)}
 
 
 def _explain_cor_rinv_nilext(S: OrderedSemigroup) -> dict:
     witnesses: dict[str, object] = _rv_witness(S)
-    K = nil_extension_of_type(S, TAU_RIGHT_INVERSE)
+    K = nil_extension_of_type(S, _RIGHT_INVERSE)
     if K is not None:
         witnesses["ideal"] = members(K)
     return witnesses
 
 
-def _csl_corollary(simple: str, arch: str) -> tuple[Callable, Callable]:
-    """The evaluator and explainer of cor-1114 (simple, archimedean) and
-    cor-leftsimple (left-simple, l-archimedean): S is a complete
-    semilattice of nil-extensions of `simple` right pi-inverse ones, iff of
-    nil-extensions of `simple` ones and right pi-inverse, iff S is right
-    pi-inverse and a complete semilattice of `arch` ones.  The paper's (ii)
-    asks the pi intra set to equal the pi rv set; the first is all of a
-    finite S, so that is right pi-inverseness, which (ii) and (iii) share."""
-    ne_rpi = _type(f"nil-ext-of({simple} & right-pi-inverse)")
-    ne = _type(f"nil-ext-of({simple})")
-    arch_type = _type(arch)
-    s, a = simple.replace("-", "_"), arch.replace("-", "_")
-
-    def evaluate(S: OrderedSemigroup):
-        rpi = is_right_pi_inverse(S)
-        conditions = {
-            f"i_csl_of_nilext_{s}_rpi": is_complete_semilattice_of(S, ne_rpi).holds,
-            f"ii_csl_of_nilext_{s}_and_intra_matches_rv": is_complete_semilattice_of(S, ne).holds and rpi,
-            f"iii_rpi_and_csl_of_{a}": rpi and is_complete_semilattice_of(S, arch_type).holds,
-        }
-        return conditions, _equiv_violation(conditions)
-
-    def explain(S: OrderedSemigroup) -> dict:
-        witnesses: dict[str, object] = {
-            "pi_intra_set": members(pi_intra_set(S)),
-            "pi_rv_set": members(pi_rv_set(S)),
-        }
-        csl_ne_rpi = is_complete_semilattice_of(S, ne_rpi)
-        if csl_ne_rpi.holds:
-            witnesses["i_partition"] = csl_ne_rpi.witness.classes_as_lists()
-        return witnesses
-
-    return evaluate, explain
-
-
-def _eval_thm_774_adapted(S: OrderedSemigroup):
-    conditions = {
-        "i_nilext_t_simple": nil_extension_of_type(S, TAU_T_SIMPLE) is not None,
-        # the pi intra set is all of a finite S, so it is never empty
-        "ii_t_archimedean_and_intra_nonempty": is_archimedean(S, "t"),
-    }
-    violation = _equiv_violation(conditions)
-    if violation is not None:
-        violation["note"] = "adaptation-mismatch"
-    return conditions, violation
-
-
-def _explain_thm_774_adapted(S: OrderedSemigroup) -> dict:
-    return {"i": _nilext_witness(S, TAU_T_SIMPLE), "pi_intra_set": members(pi_intra_set(S))}
+def _explain_csl_corollary(S: OrderedSemigroup) -> dict:
+    return {"pi_intra_set": members(pi_intra_set(S)), "pi_rv_set": members(pi_rv_set(S))}
 
 
 # ---------------------------------------------------------------------------
@@ -487,32 +354,117 @@ class CatalogEntry:
     adapted: bool = False
 
 
+def _equivalence(theorem_id: str, *rows, witnesses=_idempotents_witness, **flags) -> CatalogEntry:
+    """The entry claiming that its conditions are all equivalent.  A row is
+    a condition key and its parts, each --where text or a function of S;
+    the condition holds when every part does.  The witnesses are the
+    outcome of each condition that is one nil-ext-of or csl-of expression,
+    keyed by the condition's numeral, and then witnesses(S)."""
+    conditions, outcomes = [], []
+    for key, *parts in rows:
+        parts = [parse_property_expr(p) if isinstance(p, str) else p for p in parts]
+        funcs = tuple(p if callable(p) else predicate(p) for p in parts)
+        conditions.append((key, funcs[0] if len(funcs) == 1 else _every(funcs)))
+        if len(parts) == 1 and isinstance(e := parts[0], (NilExtOf, CslOf)):
+            outcomes.append((key.split("_", 1)[0], isinstance(e, NilExtOf), type_of(e.arg)))
+
+    def evaluate(S: OrderedSemigroup):
+        values = {key: holds(S) for key, holds in conditions}
+        return values, _equiv_violation(values)
+
+    def explain(S: OrderedSemigroup) -> dict:
+        out: dict[str, object] = {}
+        for numeral, nilext, tau in outcomes:
+            if nilext:
+                out[numeral] = _nilext_witness(S, tau)
+            elif (csl := is_complete_semilattice_of(S, tau)).holds:
+                out[numeral + "_partition"] = csl.witness.classes_as_lists()
+        return out | witnesses(S)
+
+    return CatalogEntry(theorem_id, evaluate, explain, **flags)
+
+
 _CATALOG: dict[str, CatalogEntry] = {
     e.theorem_id: e
     for e in (
-        CatalogEntry("thm-500", _eval_thm_500, _explain_thm_500, capped=False),
-        CatalogEntry("thm-15", _eval_thm_15, _explain_thm_15, capped=False),
-        CatalogEntry(
-            "thm-74",
-            _eval_thm_74,
-            _nilext_explainer(i=TAU_LEFT_SIMPLE_PI_INV, viii=TAU_T_SIMPLE_PI_INV),
+        _equivalence(
+            "thm-500",
+            ("i_right_pi_inverse", "right-pi-inverse"),
+            ("ii_idempotents_lstar_implies_rstar", _implies_on_idempotents("L*", "R*")),
+            witnesses=_explain_thm_500,
+            capped=False,
         ),
-        CatalogEntry("cor-76", _eval_cor_76, _nilext_explainer(i=TAU_SIMPLE_PI_INV)),
+        _equivalence(
+            "thm-15",
+            ("i_right_pi_inverse", "right-pi-inverse"),
+            ("ii_some_power_has_r_related_inverses", _raw_right_pi_inverse),
+            witnesses=lambda S: {"exponents": list(pi_rv_witness(S))},
+            capped=False,
+        ),
+        _equivalence(
+            "thm-74",
+            ("i_nilext_left_simple_pi_inverse", "nil-ext-of(left-simple & pi-inverse)"),
+            ("ii_pi_inverse_and_l_archimedean", "pi-inverse & l-archimedean"),
+            ("iii_pi_inverse_and_lstar_universal", "pi-inverse", _universal("L*")),
+            ("iv_pi_inverse_and_idempotents_lstar", "pi-inverse", _on_idempotents("L*")),
+            ("v_pi_regular_and_idempotents_hstar", "pi-regular", _on_idempotents("H*")),
+            ("vi_pi_regular_and_hstar_universal", "pi-regular", _universal("H*")),
+            ("vii_pi_inverse_and_t_archimedean", "pi-inverse & t-archimedean"),
+            ("viii_nilext_t_simple_pi_inverse", "nil-ext-of(t-simple & pi-inverse)"),
+        ),
+        _equivalence(
+            "cor-76",
+            ("i_nilext_simple_pi_inverse", "nil-ext-of(simple & pi-inverse)"),
+            ("ii_pi_inverse_and_idempotents_jstar", "pi-inverse", _on_idempotents("J*")),
+        ),
         CatalogEntry("lem-cao", _eval_lem_cao),
         CatalogEntry("lem-ne51", _eval_lem_ne51, _rv_witness, capped=False),
         CatalogEntry("thm-ne511", _eval_thm_ne511, _rv_witness),
         CatalogEntry("lem-ne53", _eval_lem_ne53, _rv_witness),
-        CatalogEntry(
+        _equivalence(
             "thm-1005",
-            _eval_thm_1005,
-            _nilext_explainer(i=TAU_LEFT_SIMPLE_RPI, ix=TAU_T_SIMPLE_RPI),
+            ("i_nilext_left_simple_rpi", "nil-ext-of(left-simple & right-pi-inverse)"),
+            ("ii_rpi_and_l_archimedean", "right-pi-inverse & l-archimedean"),
+            ("iii_rpi_and_lstar_universal", "right-pi-inverse", _universal("L*")),
+            ("iv_rpi_and_idempotents_lstar", "right-pi-inverse", _on_idempotents("L*")),
+            ("v_pi_regular_and_idempotents_hstar", "pi-regular", _on_idempotents("H*")),
+            ("vi_pi_regular_and_hstar_universal", "pi-regular", _universal("H*")),
+            ("vii_pi_inverse_and_t_archimedean", "pi-inverse & t-archimedean"),
+            ("viii_rpi_and_t_archimedean", "right-pi-inverse", _raw_t_archimedean),
+            ("ix_nilext_t_simple_rpi", "nil-ext-of(t-simple & right-pi-inverse)"),
         ),
-        CatalogEntry("cor-simple", _eval_cor_simple, _nilext_explainer(i=TAU_SIMPLE_RPI)),
+        _equivalence(
+            "cor-simple",
+            ("i_nilext_simple_rpi", "nil-ext-of(simple & right-pi-inverse)"),
+            ("ii_rpi_and_idempotents_jstar", "right-pi-inverse", _on_idempotents("J*")),
+            ("iii_rpi_and_jstar_universal", "right-pi-inverse", _universal("J*")),
+            ("iv_rpi_and_powers_reach_sbs", "right-pi-inverse", _raw_archimedean),
+            ("v_rpi_and_archimedean", "right-pi-inverse & archimedean"),
+        ),
         CatalogEntry("cor-rinv-nilext", _eval_cor_rinv_nilext, _explain_cor_rinv_nilext),
-        CatalogEntry("cor-1114", *_csl_corollary("simple", "archimedean")),
-        CatalogEntry("cor-leftsimple", *_csl_corollary("left-simple", "l-archimedean")),
-        CatalogEntry(
-            "thm-774-adapted", _eval_thm_774_adapted, _explain_thm_774_adapted, adapted=True
+        # the paper's (ii) asks the pi intra set to equal the pi rv set; the
+        # first is all of a finite S, so (ii) says S is right pi-inverse
+        _equivalence(
+            "cor-1114",
+            ("i_csl_of_nilext_simple_rpi", "csl-of(nil-ext-of(simple & right-pi-inverse))"),
+            ("ii_csl_of_nilext_simple_and_intra_matches_rv", "csl-of(nil-ext-of(simple)) & right-pi-inverse"),
+            ("iii_rpi_and_csl_of_archimedean", "right-pi-inverse & csl-of(archimedean)"),
+            witnesses=_explain_csl_corollary,
+        ),
+        _equivalence(
+            "cor-leftsimple",
+            ("i_csl_of_nilext_left_simple_rpi", "csl-of(nil-ext-of(left-simple & right-pi-inverse))"),
+            ("ii_csl_of_nilext_left_simple_and_intra_matches_rv", "csl-of(nil-ext-of(left-simple)) & right-pi-inverse"),
+            ("iii_rpi_and_csl_of_l_archimedean", "right-pi-inverse & csl-of(l-archimedean)"),
+            witnesses=_explain_csl_corollary,
+        ),
+        # the pi intra set is all of a finite S, so (ii)'s "nonempty" always holds
+        _equivalence(
+            "thm-774-adapted",
+            ("i_nilext_t_simple", "nil-ext-of(t-simple)"),
+            ("ii_t_archimedean_and_intra_nonempty", "t-archimedean"),
+            witnesses=lambda S: {"pi_intra_set": members(pi_intra_set(S))},
+            adapted=True,
         ),
     )
 }
@@ -548,6 +500,8 @@ def check(S: OrderedSemigroup, theorem_id: str) -> TheoremReport:
     if entry.capped:
         _check_order(S.n)
     conditions, violation = entry.evaluate(S)
+    if violation is not None and entry.adapted:
+        violation = violation | {"note": "adaptation-mismatch"}
     verdict = "consistent" if violation is None else "COUNTEREXAMPLE"
     return TheoremReport(theorem_id, conditions, verdict, violation, entry.adapted, S)
 

@@ -500,6 +500,30 @@ def family_conditions_hold(S: OrderedSemigroup, class_of: tuple[int, ...]) -> bo
     )
 
 
+def oracle_evaluate(S: OrderedSemigroup, e) -> bool:
+    """A property expression interpreted node by node on every call, the
+    reference that properties.predicate's compiled functions must agree
+    with.  Atoms call ATOMS; nil-ext-of and csl-of test their argument as
+    a plain function of the restriction, neither memoized nor marked for
+    the kernel rule, so that rule is checked here too."""
+    from oseg.decomposition import is_complete_semilattice_of, nil_extension_of_type
+    from oseg.properties import ATOMS, And, Atom, CslOf, NilExtOf, Not, Or
+
+    if isinstance(e, Atom):
+        return ATOMS[e.name](S)
+    if isinstance(e, Not):
+        return not oracle_evaluate(S, e.arg)
+    if isinstance(e, And):
+        return all(oracle_evaluate(S, a) for a in e.args)
+    if isinstance(e, Or):
+        return any(oracle_evaluate(S, a) for a in e.args)
+    if isinstance(e, NilExtOf):
+        return nil_extension_of_type(S, lambda T: oracle_evaluate(T, e.arg)) is not None
+    if isinstance(e, CslOf):
+        return is_complete_semilattice_of(S, lambda T: oracle_evaluate(T, e.arg)).holds
+    raise TypeError(f"not a property expression: {e!r}")
+
+
 def oracle_relabelings(table, leq) -> list[tuple]:
     """(flat table, down masks) of every renaming x -> p(x), one per p.
 

@@ -24,6 +24,9 @@ from oseg import cli
 from oseg.cli import main
 from oseg.core import canonical_json, parse_structure, validate
 from oseg.fixtures import LZ2, N2, RZ2
+from oseg.properties import ATOMS
+
+ATOM_NAMES = list(ATOMS)
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -427,7 +430,7 @@ class TestVerify:
 
         def always_inconsistent(S):
             conditions = {"i": True, "ii": False}
-            return conditions, {"note": "adaptation-mismatch"}
+            return conditions, {"shape": "all-equivalent"}
 
         monkeypatch.setitem(
             theorems._CATALOG,
@@ -438,6 +441,8 @@ class TestVerify:
         assert code == 0
         assert "mismatches=1" in out
         assert "ADAPTATION-MISMATCH theorem=thm-774-adapted" in out
+        # check adds the note to an adapted entry's bare violation
+        assert '"note": "adaptation-mismatch"' in out
         assert "result: ok" in out
         code, out = run(
             capsys, "verify", "--order", "1", "--theorem", "thm-774-adapted", "--strict"
@@ -464,6 +469,7 @@ class TestVerify:
         assert "COUNTEREXAMPLE theorem=thm-1005" in out
         assert '{"order":1,"table":[[0]],"leq":[[0,0]]}' in out
         assert '"verdict": "COUNTEREXAMPLE"' in out or '"verdict":"COUNTEREXAMPLE"' in out
+        assert "adaptation-mismatch" not in out
 
 
 class TestSearch:
@@ -493,6 +499,22 @@ class TestSearch:
             "--where", "nil-ext-of(right-inverse)", "--count",
         )
         assert code == 0 and out.strip() == "2716"
+
+    @pytest.mark.parametrize(
+        "sep, parts, count",
+        [
+            # every atom in turn: a matching structure passes all 3000
+            (" & ", [ATOM_NAMES[i % len(ATOM_NAMES)] for i in range(3000)], "6"),
+            # 2999 false parts first, so every structure reads all 3000
+            (" | ", ["!pi-regular"] * 2999 + ["simple"], "12"),
+        ],
+        ids=["and", "or"],
+    )
+    def test_wide_junction_is_one_loop(self, capsys, sep, parts, count):
+        """3000 parts under one '&' or '|' are evaluated in one loop, not
+        3000 nested calls: MAX_DEPTH caps only '!' and '(' nesting."""
+        code, out = run(capsys, "search", "--order", "2", "--count", "--where", sep.join(parts))
+        assert code == 0 and out.strip() == count
 
     def test_no_match_first_exit_3(self, capsys):
         code, _ = run(capsys, "search", "--order", "1", "--where", "!simple", "--first")

@@ -32,21 +32,25 @@ from oseg.fixtures import LZ2, N2, RZ2, SL2, T1
 from oseg.ideals import all_ideals, kernel, restrict
 from oseg.properties import evaluate, parse_property_expr, type_of
 from oseg.regularity import is_right_pi_inverse
-from oseg.theorems import (
-    TAU_LEFT_SIMPLE_PI_INV,
-    TAU_LEFT_SIMPLE_RPI,
-    TAU_RIGHT_INVERSE,
-    TAU_SIMPLE_PI_INV,
-    TAU_SIMPLE_RPI,
-    TAU_T_SIMPLE,
-    TAU_T_SIMPLE_PI_INV,
-    TAU_T_SIMPLE_RPI,
-    _nilext_witness,
-)
+from oseg.theorems import _nilext_witness
 
-TAU_SIMPLE = type_of(parse_property_expr("simple"))
-TAU_LEFT_SIMPLE = type_of(parse_property_expr("left-simple"))
-TAU_ARCHIMEDEAN = type_of(parse_property_expr("archimedean"))
+
+def _type(text: str):
+    return type_of(parse_property_expr(text))
+
+
+#: the types the catalog's nil-ext-of conditions take, built from their texts
+TAU_SIMPLE = _type("simple")
+TAU_LEFT_SIMPLE = _type("left-simple")
+TAU_T_SIMPLE = _type("t-simple")
+TAU_RIGHT_INVERSE = _type("right-inverse")
+TAU_LEFT_SIMPLE_RPI = _type("left-simple & right-pi-inverse")
+TAU_T_SIMPLE_RPI = _type("t-simple & right-pi-inverse")
+TAU_SIMPLE_RPI = _type("simple & right-pi-inverse")
+TAU_LEFT_SIMPLE_PI_INV = _type("left-simple & pi-inverse")
+TAU_T_SIMPLE_PI_INV = _type("t-simple & pi-inverse")
+TAU_SIMPLE_PI_INV = _type("simple & pi-inverse")
+TAU_ARCHIMEDEAN = _type("archimedean")
 
 
 def TAU_NE_T_SIMPLE_RPI(S):
@@ -143,8 +147,8 @@ KERNEL_RULE_TYPES = {
     "left-simple & pi-inverse": TAU_LEFT_SIMPLE_PI_INV,
     "t-simple & pi-inverse": TAU_T_SIMPLE_PI_INV,
     "simple & pi-inverse": TAU_SIMPLE_PI_INV,
-    "simple | right-inverse": type_of(parse_property_expr("simple | right-inverse")),
-    "!simple": type_of(parse_property_expr("!simple")),
+    "simple | right-inverse": _type("simple | right-inverse"),
+    "!simple": _type("!simple"),
 }
 FULL_SCAN_TYPES = ("simple | right-inverse", "!simple")
 

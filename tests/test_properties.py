@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import oracle_evaluate
 from oseg import decomposition, ideals, regularity, relations
 from oseg.enumeration import enumerate_ordered_semigroups
 from oseg.fixtures import FIXTURES, LZ2, N2, RZ2, SL2, T1
@@ -115,12 +116,22 @@ def _random_expr(rng: random.Random, depth: int):
     return And(args) if kind == "and" else Or(args)
 
 
+def _thousand_random_asts():
+    rng = random.Random(20260809)
+    return [_random_expr(rng, depth=4) for _ in range(1000)]
+
+
 class TestRoundTrip:
     def test_thousand_random_asts(self):
-        rng = random.Random(20260809)
-        for _ in range(1000):
-            e = _random_expr(rng, depth=4)
+        for e in _thousand_random_asts():
             assert parse_property_expr(to_text(e)) == e, to_text(e)
+
+    def test_compiled_matches_interpreter(self):
+        """evaluate calls the function predicate compiles once per tree; on
+        every fixture it agrees with the tree interpreted node by node."""
+        for e in _thousand_random_asts():
+            for name, S in FIXTURES.items():
+                assert evaluate(S, e) == oracle_evaluate(S, e), (name, to_text(e))
 
     @given(text=st.text(alphabet="simple&|!()- tarchvnx", max_size=40))
     def test_parser_total_on_noise(self, text):
