@@ -11,6 +11,11 @@ The files under tests/golden/ pin the deterministic stdout of
   structure, the digest over the three outputs' concatenated stdout;
 * ``search --order 3 --count`` for each of the 14 atoms, one
   ``<atom> <stdout>`` line per atom;
+* ``validate`` of every input on two elements: each of the 16 tables
+  with each of the 16 relations, a relation given as its leq pairs, one
+  ``<index> <digest>`` line per input (index = 16 * table + relation),
+  the digest over the exit code and stdout; every axiom's message
+  occurs, so their bytes are pinned;
 * ``theorems.report_bundle`` of every structure of order <= 3 (the raw
   streams of orders 1, 2 and 3 in turn) and, under ``slow``, of every
   10th structure of the raw order-4 stream: one ``<index> <digest>`` line
@@ -53,6 +58,7 @@ CASES = [
     "analyze-N2-rv-vacuous.txt",
     "analyze-o3.txt",
     "search-o3-count.txt",
+    "validate-o2.txt",
     "report-bundles-o3.txt",
     pytest.param("report-bundles-o4-every10.txt", marks=pytest.mark.slow),
 ]
@@ -79,6 +85,16 @@ def _stdout(*argv: str) -> str:
     return buf.getvalue()
 
 
+def _validated(path: str, table, pairs) -> str:
+    """validate's exit code and stdout on one order-2 input."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"order": 2, "table": table, "leq": pairs}, fh)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["validate", path])
+    return f"{code}\n{buf.getvalue()}"
+
+
 def produce(case: str, workdir: str) -> str:
     """The current program's output for one golden file."""
     if case == "verify-o3-all.txt":
@@ -101,6 +117,18 @@ def produce(case: str, workdir: str) -> str:
         return _digests((i, analyzed(S)) for i, S in _orders_1_to_3())
     if case == "report-bundles-o4-every10.txt":
         return _bundle_digests(itertools.islice(enumerate(enumerate_ordered_semigroups(4)), 0, None, 10))
+    if case == "validate-o2.txt":
+        path = os.path.join(workdir, "input.json")
+        tables = [[list(cells[:2]), list(cells[2:])] for cells in itertools.product(range(2), repeat=4)]
+        relations = [
+            [list(p) for p, keep in zip(itertools.product(range(2), repeat=2), bits) if keep]
+            for bits in itertools.product((False, True), repeat=4)
+        ]
+        return _digests(
+            (16 * t + r, _validated(path, table, pairs))
+            for t, table in enumerate(tables)
+            for r, pairs in enumerate(relations)
+        )
     if case == "search-o3-count.txt":
         return "".join(
             f"{atom} " + _stdout("search", "--order", "3", "--where", atom, "--count")
