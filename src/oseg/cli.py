@@ -38,8 +38,8 @@ from .properties import (
     ATOMS,
     ParseError,
     UnknownAtomError,
-    evaluate,
     parse_property_expr,
+    predicate,
 )
 from .regularity import (
     ordered_idempotents,
@@ -338,12 +338,12 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_search(args, out) -> int:
     try:
-        expr = parse_property_expr(args.where)
+        holds = predicate(parse_property_expr(args.where))  # compiled once, before the stream
     except (ParseError, UnknownAtomError) as e:
         raise UsageError(f"--where: {e}")
     count = 0
     for S in enumerate_ordered_semigroups(args.order, dedup=args.dedup):
-        if not evaluate(S, expr):
+        if not holds(S):
             continue
         count += 1
         if args.count:

@@ -13,9 +13,8 @@ the exhaustive decision procedures cheap and the code short.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import wraps
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 Mask = int
 
@@ -59,42 +58,27 @@ def members(mask: Mask) -> list[int]:
 # axiom violations
 
 
-@dataclass(frozen=True)
-class NotAssociative:
-    i: int
-    j: int
-    k: int
+_MESSAGES = {
+    "associative": "not associative: (x{0}*x{1})*x{2} != x{0}*(x{1}*x{2})",
+    "reflexive": "leq is not reflexive at ({0}, {1})",
+    "antisymmetric": "leq is not antisymmetric at ({0}, {1})",
+    "transitive": "leq is not transitive at ({0}, {1}, {2})",
+    "left-compatible": "order not compatible: {0}<={1} but not {2}*{0} <= {2}*{1}",
+    "right-compatible": "order not compatible: {0}<={1} but not {0}*{2} <= {1}*{2}",
+}
+
+
+class Violation(NamedTuple):
+    """One violated axiom and its witness: (i, j, k) with (ij)k != i(jk)
+    for "associative"; (i, i), (i, j) or (i, j, k) for "reflexive",
+    "antisymmetric" or "transitive"; (a, b, x) with a <= b but not
+    xa <= xb for "left-compatible", or not ax <= bx for "right-compatible"."""
+
+    axiom: str
+    witness: tuple[int, ...]
 
     def __str__(self) -> str:
-        return f"not associative: (x{self.i}*x{self.j})*x{self.k} != x{self.i}*(x{self.j}*x{self.k})"
-
-
-@dataclass(frozen=True)
-class NotPartialOrder:
-    axiom: str  # "reflexive" | "antisymmetric" | "transitive"
-    i: int
-    j: int
-    k: int | None = None
-
-    def __str__(self) -> str:
-        triple = (self.i, self.j) if self.k is None else (self.i, self.j, self.k)
-        return f"leq is not {self.axiom} at {triple}"
-
-
-@dataclass(frozen=True)
-class NotCompatible:
-    a: int
-    b: int
-    x: int
-    side: str  # "left": x*a vs x*b, "right": a*x vs b*x
-
-    def __str__(self) -> str:
-        if self.side == "left":
-            return f"order not compatible: {self.a}<={self.b} but not {self.x}*{self.a} <= {self.x}*{self.b}"
-        return f"order not compatible: {self.a}<={self.b} but not {self.a}*{self.x} <= {self.b}*{self.x}"
-
-
-Violation = Union[NotAssociative, NotPartialOrder, NotCompatible]
+        return _MESSAGES[self.axiom].format(*self.witness)
 
 
 class OrderTooLargeError(ValueError):
@@ -205,6 +189,18 @@ def _check_shape(order: int, table: Sequence[Sequence[int]], leq: Sequence[Seque
         raise StructureFormatError(f"leq must be {order}x{order}")
 
 
+def associativity_violations(table: Sequence[Sequence[int]]) -> list[Violation]:
+    """Every (i, j, k) with (ij)k != i(jk), in lexicographic order."""
+    rng = range(len(table))
+    return [
+        Violation("associative", (i, j, k))
+        for i in rng
+        for j in rng
+        for k in rng
+        if table[table[i][j]][k] != table[i][table[j][k]]
+    ]
+
+
 def axiom_violations(
     order: int, table: Sequence[Sequence[int]], leq: Sequence[Sequence[bool]]
 ) -> list[Violation]:
@@ -212,36 +208,28 @@ def axiom_violations(
 
     Shapes and index ranges must already be valid; see :func:`validate`.
     """
-    n = order
-    rng = range(n)
-    out: list[Violation] = []
-    for i in rng:
-        for j in rng:
-            ij = table[i][j]
-            for k in rng:
-                if table[ij][k] != table[i][table[j][k]]:
-                    out.append(NotAssociative(i, j, k))
+    rng = range(order)
+    out = associativity_violations(table)
     for i in rng:
         if not leq[i][i]:
-            out.append(NotPartialOrder("reflexive", i, i))
+            out.append(Violation("reflexive", (i, i)))
     for i in rng:
         for j in rng:
-            if i != j and leq[i][j] and leq[j][i]:
-                if i < j:  # report each bad pair once
-                    out.append(NotPartialOrder("antisymmetric", i, j))
+            if i < j and leq[i][j] and leq[j][i]:  # each bad pair once
+                out.append(Violation("antisymmetric", (i, j)))
             if leq[i][j]:
                 for k in rng:
                     if leq[j][k] and not leq[i][k]:
-                        out.append(NotPartialOrder("transitive", i, j, k))
+                        out.append(Violation("transitive", (i, j, k)))
     for a in rng:
         for b in rng:
             if not leq[a][b]:
                 continue
             for x in rng:
                 if not leq[table[x][a]][table[x][b]]:
-                    out.append(NotCompatible(a, b, x, "left"))
+                    out.append(Violation("left-compatible", (a, b, x)))
                 if not leq[table[a][x]][table[b][x]]:
-                    out.append(NotCompatible(a, b, x, "right"))
+                    out.append(Violation("right-compatible", (a, b, x)))
     return out
 
 

@@ -25,7 +25,8 @@ from .core import (
 )
 from .ideals import all_ideals, kernel, restrict
 
-#: partition scans are capped here; Bell(6) = 203 partitions
+#: caps the unions of principal ideals in all_ideals (up to 2^n) and the
+#: partitions of the quotient S/least (Bell(k), k <= n)
 MAX_PARTITION_ORDER = 6
 
 

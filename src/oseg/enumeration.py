@@ -28,7 +28,7 @@ from functools import cache
 from itertools import permutations
 from typing import Iterator, Sequence
 
-from .core import Mask, OrderedSemigroup, OrderTooLargeError, iter_mask, mask_of
+from .core import Mask, OrderedSemigroup, OrderTooLargeError, associativity_violations, iter_mask, mask_of
 
 MAX_ENUM_ORDER = 5
 
@@ -342,8 +342,7 @@ class EnumerationCursor:
         ):
             raise ValueError(f"prefix-stack table must be {n * n} cells in [0,{n})")
         t = [table[i * n : (i + 1) * n] for i in range(n)]
-        rng = range(n)
-        if any(t[t[i][j]][k] != t[i][t[j][k]] for i in rng for j in rng for k in rng):
+        if associativity_violations(t):
             raise ValueError("prefix-stack table is not associative")
         if type(orders_done) is not int or orders_done < 1:
             raise ValueError(f"orders_done must be an integer >= 1, got {orders_done!r}")

@@ -17,6 +17,7 @@ from conftest import (
     oracle_all_orders,
     oracle_all_structures,
     oracle_all_tables,
+    oracle_associative,
     oracle_compatible,
     oracle_relabelings,
     structure_tables,
@@ -442,6 +443,20 @@ class TestResume:
         assert cursor.orders_done > 1  # part way through the table's orders
         resumed = enumerate_ordered_semigroups(4, dedup="iso", cursor=cursor)
         assert head + [canonical_json(S) for S in resumed] == full
+
+    def test_non_associative_checkpoint_rejected(self):
+        """An order-2 checkpoint is rejected as not associative exactly for
+        the 8 of the 16 tables that are not."""
+        rejected = []
+        for cells in product(range(2), repeat=4):
+            text = EnumerationCursor(2, "raw", cells, 1, 0).to_json()
+            try:
+                EnumerationCursor.from_json(text)
+            except ValueError as e:
+                assert str(e) == "prefix-stack table is not associative"
+                rejected.append(cells)
+        assert len(rejected) == 8
+        assert all(not oracle_associative([c[:2], c[2:]]) for c in rejected)
 
     def test_cursor_mismatch_rejected(self):
         stream = enumerate_ordered_semigroups(2)
